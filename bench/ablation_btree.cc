@@ -27,10 +27,10 @@ int main() {
   WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
-  auto hash_bench = CheckOk(BenchmarkDb::Create(config), "create hash");
+  auto hash_bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create hash");
 
   // Variant: rebuild bench_h as a B+-tree.
-  auto btree_bench = CheckOk(BenchmarkDb::Create(config), "create btree");
+  auto btree_bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create btree");
   CheckOk(btree_bench->db()->Execute("modify bench_h to btree on id").status(),
           "modify to btree");
 

@@ -25,7 +25,7 @@ int main() {
     config.type = DbType::kTemporal;
     config.fillfactor = 100;
     config.buffer_frames = frames;
-    auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+    auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
     for (int round = 0; round < kUc; ++round) {
       CheckOk(bench->UniformUpdateRound(), "update");
     }

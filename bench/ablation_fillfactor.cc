@@ -25,7 +25,7 @@ int main() {
     WorkloadConfig config;
     config.type = DbType::kTemporal;
     config.fillfactor = ff;
-    auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+    auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
     sweeps[ff] = Sweep(bench.get(), kMaxUc, {5, 7, 10});
   }
 

@@ -16,6 +16,7 @@
 
 #include "benchlib/workload.h"
 #include "core/database.h"
+#include "exec/worker_pool.h"
 #include "util/stringx.h"
 
 namespace tdb {
@@ -62,23 +63,27 @@ inline int64_t NowMillis() {
       .count();
 }
 
-/// Execution-engine context for benchmark reporting: the intra-query
-/// worker-thread lever as resolved from TDB_EXEC_THREADS (the same
-/// precedence ResolveExecThreads applies when no per-database option is
-/// set) plus the host's actual hardware concurrency.  Recorded into
-/// BENCH_exec.json so thread-scaling numbers are interpretable — a
-/// "4-thread" run on a 1-core host measures scheduling overhead, not
-/// scaling.
+/// The engine options every driver opens its databases with: the TDB_*
+/// levers, read from the environment once per process.  Pass it to
+/// BenchmarkDb::Create.
+inline const DatabaseOptions& DriverOptions() {
+  static const DatabaseOptions options = DatabaseOptions::FromEnv();
+  return options;
+}
+
+/// Execution-engine context for benchmark reporting: the worker-thread
+/// count the driver's databases run with (DriverOptions().exec_threads as
+/// Database::Open clamps it) plus the host's actual hardware concurrency.
+/// Recorded into BENCH_exec.json so thread-scaling numbers are
+/// interpretable — a "4-thread" run on a 1-core host measures scheduling
+/// overhead, not scaling.
 struct ExecContext {
   int exec_threads = 1;
   unsigned hardware_concurrency = 1;
 
   static ExecContext Detect() {
     ExecContext ctx;
-    if (const char* env = std::getenv("TDB_EXEC_THREADS")) {
-      long v = std::strtol(env, nullptr, 10);
-      if (v > 0) ctx.exec_threads = static_cast<int>(std::min<long>(v, 64));
-    }
+    ctx.exec_threads = ResolveExecThreads(DriverOptions().exec_threads);
     ctx.hardware_concurrency = std::thread::hardware_concurrency();
     if (ctx.hardware_concurrency == 0) ctx.hardware_concurrency = 1;
     return ctx;

@@ -27,7 +27,7 @@ int main() {
       WorkloadConfig config;
       config.type = type;
       config.fillfactor = fillfactor;
-      auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+      auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
 
       std::map<int, std::pair<uint64_t, uint64_t>> sizes;  // uc -> (H, I)
       for (int uc = 0; uc <= kMaxUc; ++uc) {

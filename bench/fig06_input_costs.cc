@@ -18,7 +18,7 @@ int main() {
   WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
-  auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+  auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
   auto sweep = Sweep(bench.get(), kMaxUc, AllQueries());
 
   std::vector<std::string> headers = {"query"};

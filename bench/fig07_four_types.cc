@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     WorkloadConfig config;
     config.type = c.type;
     config.fillfactor = c.fillfactor;
-    auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+    auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
     auto sweep = Sweep(bench.get(), c.type == DbType::kStatic ? 0 : kMaxUc,
                        AllQueries());
     sink.Add(i, std::string(DbTypeName(c.type)) + " " +

@@ -33,7 +33,7 @@ SeriesData ComputeSeries(const SeriesSpec& spec, size_t cell,
   WorkloadConfig config;
   config.type = spec.type;
   config.fillfactor = spec.fillfactor;
-  auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+  auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
   SeriesData data;
   for (int q = 1; q <= 12; ++q) {
     if (!bench->QueryText(q).empty()) data.qs.push_back(q);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     WorkloadConfig config;
     config.type = cfgs[i].type;
     config.fillfactor = cfgs[i].fillfactor;
-    auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+    auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
     auto sweep = Sweep(bench.get(), kMaxUc, AllQueries());
     sink.Add(i, std::string(DbTypeName(cfgs[i].type)) + " " +
                     LoadingName(cfgs[i].fillfactor),

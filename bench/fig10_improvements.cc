@@ -24,7 +24,7 @@ namespace {
 std::map<int, Measure> RunVariant(const WorkloadConfig& config, int uc,
                                   size_t cell, const std::string& label,
                                   MetricsSink* sink) {
-  auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+  auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
   auto sweep = Sweep(bench.get(), uc, AllQueries());
   sink->Add(cell, label, bench->db());
   return sweep.back();

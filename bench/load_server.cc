@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
   const std::string socket_path = opts.root + ".sock";
 
   Die(tdb::Env::Default()->CreateDirIfMissing(opts.root), "create root");
-  DatabaseOptions db_options;
+  DatabaseOptions db_options = DatabaseOptions::FromEnv();
   db_options.durability = opts.durability;
   db_options.metrics = true;
   db_options.plan_cache = opts.plan_cache;

@@ -30,7 +30,6 @@
 #include "exec/join_method.h"
 #include "exec/morsel.h"
 #include "exec/version.h"
-#include "exec/worker_pool.h"
 #include "types/schema.h"
 
 namespace tdb {
@@ -260,22 +259,22 @@ BENCHMARK(BM_ScanFilterVectorized);
 // on or off.  Items = the 1024 tuples each execution examines, so the
 // numbers read as ns/tuple alongside the loop benchmarks above.
 void RunEngineBench(benchmark::State& state, const char* text,
-                    bool vectorized,
-                    JoinMethod method = JoinMethod::kPaper) {
+                    bool vectorized, JoinMethod method = JoinMethod::kPaper,
+                    int threads = bench::DriverOptions().exec_threads) {
   bench::WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
-  auto db = bench::BenchmarkDb::Create(config);
+  DatabaseOptions options = bench::DriverOptions();
+  options.vector_exec = vectorized;
+  options.join_method = method;
+  options.exec_threads = threads;
+  auto db = bench::BenchmarkDb::Create(config, options);
   if (!db.ok()) std::abort();
-  SetVectorExecEnabledForTest(vectorized);
-  SetJoinMethodForTest(method);
   for (auto _ : state) {
     auto r = (*db)->db()->Execute(text);
     if (!r.ok()) std::abort();
     benchmark::DoNotOptimize(r->affected);
   }
-  SetJoinMethodForTest(std::nullopt);
-  SetVectorExecEnabledForTest(std::nullopt);
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 
@@ -329,34 +328,15 @@ BENCHMARK(BM_ExecJoinHashVectorized);
 // per-chunk results deterministically); only wall clock may move.  On a
 // 1-core host the >1-thread args measure pool overhead, not speedup —
 // BENCH_exec.json records hardware_concurrency so readers can tell.
-void RunEngineBenchThreads(benchmark::State& state, const char* text,
-                           JoinMethod method) {
-  bench::WorkloadConfig config;
-  config.type = DbType::kTemporal;
-  config.fillfactor = 100;
-  auto db = bench::BenchmarkDb::Create(config);
-  if (!db.ok()) std::abort();
-  SetVectorExecEnabledForTest(true);
-  SetJoinMethodForTest(method);
-  SetExecThreadsForTest(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto r = (*db)->db()->Execute(text);
-    if (!r.ok()) std::abort();
-    benchmark::DoNotOptimize(r->affected);
-  }
-  SetExecThreadsForTest(std::nullopt);
-  SetJoinMethodForTest(std::nullopt);
-  SetVectorExecEnabledForTest(std::nullopt);
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-
 void BM_ExecScanFilterThreads(benchmark::State& state) {
-  RunEngineBenchThreads(state, kScanFilterQuery, JoinMethod::kPaper);
+  RunEngineBench(state, kScanFilterQuery, /*vectorized=*/true,
+                 JoinMethod::kPaper, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_ExecScanFilterThreads)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ExecJoinHashThreads(benchmark::State& state) {
-  RunEngineBenchThreads(state, kJoinQuery, JoinMethod::kHash);
+  RunEngineBench(state, kJoinQuery, /*vectorized=*/true, JoinMethod::kHash,
+                 static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_ExecJoinHashThreads)->Arg(1)->Arg(2)->Arg(4);
 
@@ -379,13 +359,13 @@ void BM_ExecIntervalJoinSweep(benchmark::State& state) {
 BENCHMARK(BM_ExecIntervalJoinSweep);
 
 // End-to-end queries on the paper's temporal database (100% loading, uc=0).
-// Whether the compiled path runs is decided process-wide by
-// TDB_COMPILED_EXPR; run the binary twice to A/B.
+// Whether the compiled path runs is decided by TDB_COMPILED_EXPR, read at
+// start-up; run the binary twice to A/B.
 void RunQueryBench(benchmark::State& state, int qnum) {
   bench::WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
-  auto db = bench::BenchmarkDb::Create(config);
+  auto db = bench::BenchmarkDb::Create(config, bench::DriverOptions());
   if (!db.ok()) std::abort();
   for (auto _ : state) {
     auto m = (*db)->RunQuery(qnum);
@@ -404,10 +384,10 @@ BENCHMARK(BM_QueryQ07);  // non-key selection over history
 }  // namespace
 }  // namespace tdb
 
-// Custom main (vs BENCHMARK_MAIN) so the execution-engine context —
-// TDB_EXEC_THREADS as resolved and the host's real hardware concurrency —
-// lands in the JSON context block scripts/make_bench_exec.py copies into
-// BENCH_exec.json.
+// Custom main (vs BENCHMARK_MAIN) so the execution-engine context — the
+// exec_threads the driver's options resolve to and the host's real
+// hardware concurrency — lands in the JSON context block
+// scripts/make_bench_exec.py copies into BENCH_exec.json.
 int main(int argc, char** argv) {
   const tdb::bench::ExecContext ctx = tdb::bench::ExecContext::Detect();
   benchmark::AddCustomContext("exec_threads", std::to_string(ctx.exec_threads));

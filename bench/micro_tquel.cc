@@ -38,7 +38,7 @@ BENCHMARK(BM_Parse);
 
 void BM_ExecutePointQuery(benchmark::State& state) {
   MemEnv env;
-  DatabaseOptions options;
+  DatabaseOptions options = DatabaseOptions::FromEnv();
   options.env = &env;
   auto db = Database::Open("/db", options);
   (void)(*db)->Execute(
@@ -60,7 +60,7 @@ BENCHMARK(BM_ExecutePointQuery);
 
 void BM_Replace(benchmark::State& state) {
   MemEnv env;
-  DatabaseOptions options;
+  DatabaseOptions options = DatabaseOptions::FromEnv();
   options.env = &env;
   auto db = Database::Open("/db", options);
   (void)(*db)->Execute(

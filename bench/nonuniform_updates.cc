@@ -29,7 +29,7 @@ int main() {
   uniform_config.type = DbType::kTemporal;
   uniform_config.fillfactor = 100;
   uniform_config.ntuples = kTuples;
-  auto uniform = CheckOk(BenchmarkDb::Create(uniform_config), "create");
+  auto uniform = CheckOk(BenchmarkDb::Create(uniform_config, DriverOptions()), "create");
   std::vector<uint64_t> uniform_q01;
   for (int uc = 0; uc <= kMaxAvgUc; ++uc) {
     uniform_q01.push_back(
@@ -39,7 +39,7 @@ int main() {
 
   // Non-uniform: all updates hit tuple kHotId.
   WorkloadConfig hot_config = uniform_config;
-  auto hot = CheckOk(BenchmarkDb::Create(hot_config), "create");
+  auto hot = CheckOk(BenchmarkDb::Create(hot_config, DriverOptions()), "create");
   for (int uc = 0; uc <= kMaxAvgUc; ++uc) {
     // Hashed access to the hot tuple vs a tuple in an untouched bucket.
     auto hot_probe = CheckOk(

@@ -16,7 +16,7 @@ int main() {
   WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
-  auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+  auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
   for (int round = 0; round < kUc; ++round) {
     CheckOk(bench->UniformUpdateRound(), "update");
   }

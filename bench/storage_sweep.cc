@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       config.page_size = page_size == 1024 ? 0 : page_size;
       config.pool_frames = pv.frames;
       config.pool_file_cap = pv.cap;
-      auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+      auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
       for (int round = 0; round < kUpdateRounds; ++round) {
         CheckOk(bench->UniformUpdateRound(), "update");
       }
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
       config.two_level = true;
       config.page_size = page_size == 1024 ? 0 : page_size;
       config.vacuum_partition = policy;
-      auto bench = CheckOk(BenchmarkDb::Create(config), "create");
+      auto bench = CheckOk(BenchmarkDb::Create(config, DriverOptions()), "create");
       for (int round = 0; round < kUpdateRounds; ++round) {
         CheckOk(bench->UniformUpdateRound(), "update");
       }

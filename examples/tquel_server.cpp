@@ -9,13 +9,19 @@
 // locking, snapshot reads, and journal group commit all come from the
 // service layer.  The server runs until stdin closes or SIGINT/SIGTERM —
 // scripts stop it by closing its stdin.
+//
+// The TDB_* engine levers (README) are read once at start-up and fixed for
+// every database the server opens; TDB_SERVER_EPOLL=1 selects the epoll
+// event loop instead of a thread per connection.
 
 #include <signal.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "core/chronoquel.h"
 #include "net/server.h"
@@ -33,8 +39,12 @@ void HandleSignal(int) { g_stop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  DatabaseOptions db_options;
+  // The TDB_* levers are read here, once, for every database the server
+  // opens; flags below override them.
+  DatabaseOptions db_options = DatabaseOptions::FromEnv();
   ServerOptions srv_options;
+  const char* epoll = std::getenv("TDB_SERVER_EPOLL");
+  srv_options.epoll = epoll != nullptr && std::string_view(epoll) != "0";
   std::string root;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -60,7 +60,8 @@ void PrintHelp() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  DatabaseOptions options;
+  // The TDB_* levers are read here, once; flags below override them.
+  DatabaseOptions options = DatabaseOptions::FromEnv();
   const char* dir = nullptr;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {

@@ -40,7 +40,7 @@ std::string CreatePrefix(DbType type) {
 }  // namespace
 
 Result<std::unique_ptr<BenchmarkDb>> BenchmarkDb::Create(
-    const WorkloadConfig& config) {
+    const WorkloadConfig& config, DatabaseOptions options) {
   std::unique_ptr<BenchmarkDb> bench(new BenchmarkDb());
   bench->config_ = config;
   // At paper scale the probed tuples are ids 500 and 600; smaller
@@ -48,18 +48,7 @@ Result<std::unique_ptr<BenchmarkDb>> BenchmarkDb::Create(
   bench->probe_id_ = config.ntuples > 600 ? 500 : config.ntuples / 2;
   bench->probe2_id_ = config.ntuples > 600 ? 600 : config.ntuples * 3 / 4;
   bench->env_ = std::make_unique<MemEnv>();
-
-  DatabaseOptions options;
-  options.env = bench->env_.get();
-  options.start_time = TimePoint(static_cast<int32_t>(kBenchStart));
-  options.buffer_frames = config.buffer_frames;
-  options.page_size = config.page_size;
-  options.pool_frames = config.pool_frames;
-  options.pool_file_cap = config.pool_file_cap;
-  options.exec_threads = config.exec_threads;
-  options.vacuum_partition = config.vacuum_partition;
-  options.plan_cache = config.plan_cache;
-  TDB_ASSIGN_OR_RETURN(bench->db_, Database::Open("/bench", options));
+  TDB_RETURN_NOT_OK(bench->OpenDb(std::move(options)));
   Database* db = bench->db_.get();
 
   for (const char* suffix : {"h", "i"}) {
@@ -138,6 +127,34 @@ Result<std::unique_ptr<BenchmarkDb>> BenchmarkDb::Create(
   TDB_RETURN_NOT_OK(db->Execute("range of i is bench_i").status());
   db->SetNow(TimePoint(static_cast<int32_t>(kBenchStart)));
   return bench;
+}
+
+Status BenchmarkDb::OpenDb(DatabaseOptions options) {
+  options.env = env_.get();
+  options.start_time = TimePoint(static_cast<int32_t>(kBenchStart));
+  options.buffer_frames = config_.buffer_frames;
+  if (config_.page_size != 0) options.page_size = config_.page_size;
+  if (config_.pool_frames > 0) options.pool_frames = config_.pool_frames;
+  if (config_.pool_file_cap != 0) {
+    options.pool_file_cap = config_.pool_file_cap;
+  }
+  if (config_.exec_threads > 0) options.exec_threads = config_.exec_threads;
+  if (!config_.vacuum_partition.empty()) {
+    options.vacuum_partition = config_.vacuum_partition;
+  }
+  options.plan_cache = config_.plan_cache;
+  TDB_ASSIGN_OR_RETURN(db_, Database::Open("/bench", options));
+  return Status::OK();
+}
+
+Status BenchmarkDb::Reopen(DatabaseOptions options) {
+  const TimePoint now = db_->now();
+  db_.reset();
+  TDB_RETURN_NOT_OK(OpenDb(std::move(options)));
+  TDB_RETURN_NOT_OK(db_->Execute("range of h is bench_h").status());
+  TDB_RETURN_NOT_OK(db_->Execute("range of i is bench_i").status());
+  db_->SetNow(now);
+  return Status::OK();
 }
 
 Status BenchmarkDb::UniformUpdateRound() {

@@ -30,13 +30,13 @@ struct WorkloadConfig {
   std::string index_structure;  // "" (none), "heap", or "hash" on `amount`
   int index_levels = 1;
 
-  // Production storage mode (forwarded to DatabaseOptions; every default
-  // keeps the paper configuration).
-  uint32_t page_size = 0;        // 0 = paper 1024
+  // Production storage mode, applied over the DatabaseOptions passed to
+  // Create; a zero/empty field keeps that options value.
+  uint32_t page_size = 0;        // 0 = keep (paper default 1024)
   int pool_frames = 0;           // >0 enables the shared buffer pool
-  int pool_file_cap = 0;         // 0 = paper parity (1/file); -1 = uncapped
-  int exec_threads = 0;          // 0 = default (1)
-  std::string vacuum_partition;  // "" = default ("single")
+  int pool_file_cap = 0;         // 0 = keep (paper default 1); -1 = uncapped
+  int exec_threads = 0;          // 0 = keep (default 1)
+  std::string vacuum_partition;  // "" = keep (default "single")
   bool plan_cache = false;       // shared plan cache (paper default: off)
 };
 
@@ -72,10 +72,20 @@ struct Measure {
 /// tuple, as in the paper.
 class BenchmarkDb {
  public:
+  /// Builds the database in a private MemEnv.  `options` carries the
+  /// engine configuration (the bench drivers pass the TDB_* levers they
+  /// read at start-up; the default is paper mode); `config` overrides its
+  /// storage fields where set.
   static Result<std::unique_ptr<BenchmarkDb>> Create(
-      const WorkloadConfig& config);
+      const WorkloadConfig& config, DatabaseOptions options = {});
 
   Database* db() { return db_.get(); }
+
+  /// Closes the database and opens the same files again under the engine
+  /// configuration `options` (the config's storage fields still apply, as
+  /// in Create), keeping the logical clock and the h/i range declarations:
+  /// one generated database measured under several configurations.
+  Status Reopen(DatabaseOptions options);
   const WorkloadConfig& config() const { return config_; }
 
   /// One uniform update round: replaces every current version of both
@@ -111,6 +121,9 @@ class BenchmarkDb {
 
  private:
   BenchmarkDb() = default;
+
+  /// Opens db_ on env_ under `options` with the config's fields applied.
+  Status OpenDb(DatabaseOptions options);
 
   WorkloadConfig config_;
   std::unique_ptr<MemEnv> env_;

@@ -1,8 +1,11 @@
 #include "core/database.h"
 
+#include <algorithm>
+
 #include "exec/exec_env.h"
 #include "exec/plan.h"
 #include "exec/planner.h"
+#include "exec/worker_pool.h"
 #include "tquel/ast.h"
 #include "tquel/binder.h"
 #include "tquel/parser.h"
@@ -22,13 +25,14 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     TDB_RETURN_NOT_OK(Journal::Recover(env, dir));
   }
   std::unique_ptr<Database> db(new Database(env, dir, options));
-  TDB_RETURN_NOT_OK(db->ResolveStorageMode());
+  TDB_RETURN_NOT_OK(db->ResolveExecEnv());
   if (options.durability != DurabilityMode::kOff) {
     TDB_ASSIGN_OR_RETURN(db->journal_,
                          Journal::Open(env, dir, options.durability));
     db->journal_->set_group_window_micros(options.group_commit_window_micros);
-    db->journal_->set_page_size(db->storage_.page_size);
+    db->journal_->set_page_size(db->exec_template_.storage.page_size);
     db->catalog_.set_journal(db->journal_.get());
+    db->exec_template_.journal = db->journal_.get();
   }
   // Wire observability before any relation file opens, so every per-file
   // IoCounters is born with its PagerMetrics block attached.  When metrics
@@ -45,17 +49,13 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   return db;
 }
 
-Status Database::ResolveStorageMode() {
-  // Environment fallbacks for every unset field (options > TDB_* env).
-  const DatabaseOptions envd = DatabaseOptions::FromEnv();
-  uint32_t page_size =
-      options_.page_size != 0 ? options_.page_size : envd.page_size;
-  bool checksum =
-      options_.page_checksum.value_or(envd.page_checksum.value_or(false));
+Status Database::ResolveExecEnv() {
+  uint32_t page_size = options_.page_size;
+  bool checksum = options_.page_checksum;
 
   // The on-disk layout is fixed when the database is first created: a
   // `storage` meta file in the directory records it and is authoritative
-  // on reopen, whatever the caller or environment asks for this run.
+  // on reopen, whatever the caller asks for this run.
   const std::string meta_path = dir_ + "/storage";
   if (env_->FileExists(meta_path)) {
     TDB_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(meta_path));
@@ -79,44 +79,42 @@ Status Database::ResolveStorageMode() {
         return Status::Corruption("unknown storage meta tag: " + tag);
       }
     }
-  } else if ((page_size != 0 && page_size != kPageSize) || checksum) {
+  } else if (page_size != kPageSize || checksum) {
     // A non-paper layout must survive reopen; the pure-default layout
     // writes nothing, keeping paper-mode directories byte-identical.
     TDB_RETURN_NOT_OK(env_->WriteStringToFile(
-        meta_path, StrPrintf("page_size %u\nchecksum %d\n",
-                             page_size == 0 ? kPageSize : page_size,
+        meta_path, StrPrintf("page_size %u\nchecksum %d\n", page_size,
                              checksum ? 1 : 0)));
   }
-  if (page_size == 0) page_size = kPageSize;
   if (page_size < 512 || page_size > 65536 || page_size % 256 != 0) {
     return Status::Invalid(StrPrintf("page size %u out of range", page_size));
   }
 
-  int pool_frames =
-      options_.pool_frames > 0 ? options_.pool_frames : envd.pool_frames;
-  int file_cap =
-      options_.pool_file_cap != 0 ? options_.pool_file_cap : envd.pool_file_cap;
-  if (file_cap == 0) file_cap = 1;  // paper parity unless told otherwise
-  if (pool_frames > 0) {
+  if (options_.pool_frames > 0) {
     BufferPool::Options po;
-    po.total_frames = pool_frames;
-    po.per_file_frames = file_cap < 0 ? 0 : file_cap;
+    po.total_frames = options_.pool_frames;
+    po.per_file_frames =
+        options_.pool_file_cap < 0 ? 0 : options_.pool_file_cap;
     po.page_size = page_size;
     pool_ = std::make_unique<BufferPool>(po);
   }
 
-  storage_.page_size = page_size;
-  storage_.checksum = checksum;
-  storage_.pool = pool_.get();
-  storage_.readahead = options_.history_readahead > 0
-                           ? options_.history_readahead
-                           : envd.history_readahead;
-  vacuum_partition_ = !options_.vacuum_partition.empty()
-                          ? options_.vacuum_partition
-                      : !envd.vacuum_partition.empty() ? envd.vacuum_partition
-                                                       : "single";
-  plan_cache_enabled_ =
-      options_.plan_cache.value_or(envd.plan_cache.value_or(false));
+  ExecEnv& t = exec_template_;
+  t.env = env_;
+  t.dir = dir_;
+  t.catalog = &catalog_;
+  t.buffer_frames = options_.buffer_frames;
+  t.join_method = options_.join_method;
+  t.vector_exec = options_.vector_exec;
+  t.compiled_expr = options_.compiled_expr;
+  // SelVec indexes are uint16_t.
+  t.morsel_cap = static_cast<size_t>(std::clamp(options_.morsel_capacity, 1,
+                                                65535));
+  t.exec_threads = ResolveExecThreads(options_.exec_threads);
+  t.storage.page_size = page_size;
+  t.storage.checksum = checksum;
+  t.storage.pool = pool_.get();
+  t.vacuum_partition = options_.vacuum_partition;
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include <vector>
@@ -16,6 +15,7 @@
 #include "core/result_set.h"
 #include "core/session.h"
 #include "env/env.h"
+#include "exec/exec_env.h"
 #include "exec/join_method.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
@@ -28,7 +28,6 @@
 namespace tdb {
 
 struct Statement;  // tquel/ast.h
-struct ExecEnv;    // exec/exec_env.h
 
 /// 1980-01-01 00:00:00 UTC — the epoch the paper's benchmark databases are
 /// initialized around, and the default logical start time.
@@ -54,32 +53,27 @@ struct DatabaseOptions {
   /// automatically in Open() whatever the mode.
   DurabilityMode durability = DurabilityMode::kOff;
   /// Observability: counters, histograms, per-node wall time, and trace
-  /// spans.  Unset defers to the TDB_METRICS environment variable (on
-  /// unless it is "0").  When resolved off, no instrumentation pointer is
-  /// ever wired and the measured page counts / figure stdout are
-  /// byte-identical to a run without the obs layer.
-  std::optional<bool> metrics;
-  /// Join planning mode (see exec/join_method.h).  Unset defers to the
-  /// TDB_JOIN_METHOD environment variable; both default to kPaper, whose
-  /// plans — and therefore every measured page count — are byte-identical
-  /// to the pre-cost-model system.
-  std::optional<JoinMethod> join_method;
-  /// Morsel-at-a-time execution.  Unset defers to TDB_VECTOR_EXEC (on
-  /// unless "0"); off selects the tuple-at-a-time engine.  Identical page
-  /// I/O either way.
-  std::optional<bool> vector_exec;
-  /// Morsel capacity in records.  0 (unset) defers to TDB_MORSEL_CAP,
-  /// default 1024, clamped to [1, 65535].
-  int morsel_capacity = 0;
-  /// Worker threads for morsel-driven parallel pipelines.  0 (unset)
-  /// defers to TDB_EXEC_THREADS, default 1 — the paper's single-threaded
-  /// measurement discipline, whose IoCounters and figure stdout are
-  /// bit-identical to the pre-parallel system.  Clamped to [1, 64].
-  int exec_threads = 0;
-  /// Compiled postfix expression programs.  Unset defers to
-  /// TDB_COMPILED_EXPR (on unless "0"); off evaluates every expression on
-  /// the AST walker.  Identical results and page I/O either way.
-  std::optional<bool> compiled_expr;
+  /// spans.  When off, no instrumentation pointer is ever wired and the
+  /// measured page counts / figure stdout are byte-identical to a run
+  /// without the obs layer.
+  bool metrics = true;
+  /// Join planning mode (see exec/join_method.h).  kPaper's plans — and
+  /// therefore every measured page count — are byte-identical to the
+  /// pre-cost-model system.
+  JoinMethod join_method = JoinMethod::kPaper;
+  /// Morsel-at-a-time execution; off selects the tuple-at-a-time engine.
+  /// Identical page I/O either way.
+  bool vector_exec = true;
+  /// Morsel capacity in records, clamped to [1, 65535] at Open.
+  int morsel_capacity = 1024;
+  /// Worker threads for morsel-driven parallel pipelines, clamped to
+  /// [1, 64] at Open.  1 is the paper's single-threaded measurement
+  /// discipline, whose IoCounters and figure stdout are bit-identical to
+  /// the pre-parallel system.
+  int exec_threads = 1;
+  /// Compiled postfix expression programs; off evaluates every expression
+  /// on the AST walker.  Identical results and page I/O either way.
+  bool compiled_expr = true;
   /// Group-commit window at kJournalSync: before the leader of a commit
   /// group captures which marks its fsync covers, it waits this long so
   /// concurrent committers can land their marks and share the fsync
@@ -88,54 +82,43 @@ struct DatabaseOptions {
   /// commit never waits.  0 disables the window.
   int group_commit_window_micros = 200;
 
-  // --- production storage mode (ROADMAP item 3) --------------------------
-  // Every field defaults to the paper configuration; the resolved page
-  // size / checksum flag are persisted in a `storage` meta file inside the
+  // --- production storage mode ----------------------------------------
+  // Every field defaults to the paper configuration; the page size and
+  // checksum flag are persisted in a `storage` meta file inside the
   // database directory, which is AUTHORITATIVE on reopen (on-disk layout
   // cannot change under an existing database).
 
-  /// Bytes per page.  0 (unset) defers to TDB_PAGE_SIZE, then to the
-  /// directory's storage meta file, then to the paper's 1024.  Must be in
-  /// [512, 65536] and a multiple of 256; production mode uses 4096.
-  uint32_t page_size = 0;
+  /// Bytes per page: the paper's 1024, or 4096 in production mode.  Must
+  /// be in [512, 65536] and a multiple of 256.
+  uint32_t page_size = kPageSize;
   /// CRC32-stamp every data page in a 4-byte trailer, verified on load.
-  /// Unset defers to TDB_PAGE_CHECKSUM (off unless "1"-ish), then to the
-  /// storage meta file.
-  std::optional<bool> page_checksum;
-  /// Total frames of the process-shared buffer pool.  0 (unset) defers to
-  /// TDB_POOL_FRAMES; both default to "no pool" — every relation keeps the
-  /// paper's private single frame.  Setting any positive count enables the
-  /// shared pool for every file of this database.
+  bool page_checksum = false;
+  /// Total frames of the process-shared buffer pool.  0 means no pool —
+  /// every relation keeps the paper's private single frame.  Any positive
+  /// count enables the shared pool for every file of this database.
   int pool_frames = 0;
-  /// Per-file resident-page cap inside the shared pool.  0 (unset) defers
-  /// to TDB_POOL_FILE_CAP, default 1 — the paper's single-frame discipline,
-  /// byte-identical row output and IoCounters.  -1 = uncapped (production).
-  int pool_file_cap = 0;
-  /// History-chain readahead depth in pages (pool mode only).  0 (unset)
-  /// defers to TDB_READAHEAD, default off.
-  int history_readahead = 0;
-  /// Vacuum segment-partition policy: "" (unset) defers to
-  /// TDB_VACUUM_PARTITION, default "single"; or "epoch:<seconds>".
-  std::string vacuum_partition;
+  /// Per-file resident-page cap inside the shared pool.  1 is the paper's
+  /// single-frame discipline (byte-identical row output and IoCounters);
+  /// -1 = uncapped (production).
+  int pool_file_cap = 1;
+  /// Vacuum segment-partition policy: "single" or "epoch:<seconds>".
+  std::string vacuum_partition = "single";
   /// Shared plan cache for retrieve statements (see core/plan_cache.h).
-  /// Unset defers to TDB_PLAN_CACHE; both default OFF — the paper's
-  /// measured page counts and figure stdout never touch the cache unless
-  /// asked.  On, repeated statements (prepared or raw) skip parsing and/or
-  /// planning; results and per-file IoCounters are identical either way.
-  std::optional<bool> plan_cache;
+  /// Off by default: the paper's measured page counts and figure stdout
+  /// never touch the cache unless asked.  On, repeated statements
+  /// (prepared or raw) skip parsing and/or planning; results and per-file
+  /// IoCounters are identical either way.
+  bool plan_cache = false;
 
-  /// Reads every TDB_* engine lever from the process environment into one
-  /// DatabaseOptions: TDB_VECTOR_EXEC, TDB_MORSEL_CAP, TDB_EXEC_THREADS,
-  /// TDB_JOIN_METHOD, TDB_COMPILED_EXPR, and TDB_METRICS.  Fields whose
-  /// variable is absent (or unparseable) stay unset, so callers can layer
-  /// explicit options on top.  This is the single place the environment is
-  /// consulted; every per-statement knob resolves through the one
-  /// precedence chain
-  ///
-  ///   test override > per-session > DatabaseOptions > environment > default
-  ///
-  /// (see exec/morsel.h, exec/worker_pool.h, exec/join_method.h,
-  /// exec/compiled_expr.h for the per-knob resolvers).
+  /// Reads the TDB_* levers from the process environment on top of the
+  /// defaults: TDB_METRICS, TDB_JOIN_METHOD, TDB_VECTOR_EXEC,
+  /// TDB_MORSEL_CAP, TDB_EXEC_THREADS, TDB_COMPILED_EXPR, TDB_PAGE_SIZE,
+  /// TDB_PAGE_CHECKSUM, TDB_POOL_FRAMES, TDB_POOL_FILE_CAP,
+  /// TDB_VACUUM_PARTITION and TDB_PLAN_CACHE.  A field whose variable is
+  /// absent (or unparseable) keeps its default.  The library never calls
+  /// this: programs (tquel_shell, tquel_server, the bench drivers) call it
+  /// once at start-up, and Database::Open fixes whatever options it is
+  /// given for the life of the database.
   static DatabaseOptions FromEnv();
 };
 
@@ -226,17 +209,11 @@ class Database {
   /// Structured dump of every metric (empty when metrics are disabled).
   obs::MetricsSnapshot Snapshot() const { return metrics_.Snapshot(); }
 
-  /// Resolved production-storage mode every session opens files with
-  /// (page size, checksums, shared pool, readahead).
-  const StorageOptions& storage() const { return storage_; }
   /// The shared buffer pool, or null when running the paper's private
   /// single-frame discipline.
   BufferPool* buffer_pool() { return pool_.get(); }
-  /// Resolved vacuum segment-partition policy ("single" or "epoch:<secs>").
-  const std::string& vacuum_partition() const { return vacuum_partition_; }
-  /// True when retrieves route through the process-shared plan cache
-  /// (DatabaseOptions::plan_cache > TDB_PLAN_CACHE > off).
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
+  /// True when retrieves route through the process-shared plan cache.
+  bool plan_cache_enabled() const { return options_.plan_cache; }
 
   Result<Relation*> GetRelation(const std::string& name);
 
@@ -259,7 +236,7 @@ class Database {
         dir_(std::move(dir)),
         options_(options),
         catalog_(env, dir_),
-        metrics_(options.metrics.value_or(obs::MetricsEnabled())),
+        metrics_(options.metrics),
         now_(options.start_time) {}
 
   /// The live clock (reads pin their snapshot off this).
@@ -269,10 +246,12 @@ class Database {
   /// the clock atomically, so overlapping writers get distinct stamps.
   TimePoint AcquireTxTime();
 
-  /// Resolves storage_, vacuum_partition_, and (optionally) pool_ from
-  /// options > TDB_* env > the directory's `storage` meta file; called by
-  /// Open() before anything touches a relation file.
-  Status ResolveStorageMode();
+  /// Fixes the engine configuration for the life of the database: reads
+  /// the on-disk layout from the directory's `storage` meta file (or
+  /// records the requested one), creates the shared pool when asked, and
+  /// resolves `options_` into `exec_template_`.  Called by Open() before
+  /// anything touches a relation file.
+  Status ResolveExecEnv();
 
   /// The logical clock is persisted alongside the catalog so that a
   /// reopened database resumes *after* every recorded transaction time —
@@ -296,11 +275,11 @@ class Database {
   /// Declared before default_session_ so session pagers (whose destructors
   /// flush through the journal hooks) are destroyed first.
   std::unique_ptr<Journal> journal_;
-  /// Resolved storage mode (options > TDB_* env > `storage` meta file >
-  /// paper defaults; the meta file wins for on-disk layout on reopen).
-  StorageOptions storage_;
-  std::string vacuum_partition_ = "single";
-  bool plan_cache_enabled_ = false;
+  /// The executor environment every statement copies: the database-wide
+  /// fields (env, catalog, journal, storage mode, engine knobs) resolved
+  /// once by Open(); sessions fill in their own registry, relation cache,
+  /// clock reading and scratch tag.
+  ExecEnv exec_template_;
 
   // --- concurrent mode (engaged by the first CreateSession) --------------
   std::atomic<bool> concurrent_{false};

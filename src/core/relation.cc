@@ -314,13 +314,6 @@ Result<std::vector<uint8_t>> Relation::FetchHistoryAt(const HistoryTid& at) {
                                         "segment %u of '%s'",
                                         at.seg, meta_.name.c_str()));
   }
-  if (sopts_.readahead > 0) {
-    // Vacuum lays chains out contiguously oldest-first, so the rest of the
-    // chain sits on the pages right after this one.
-    TDB_RETURN_NOT_OK(file->pager()->Readahead(at.tid.page,
-                                               sopts_.readahead,
-                                               IoCategory::kData));
-  }
   TDB_ASSIGN_OR_RETURN(auto hrec, file->Fetch(at.tid));
   hrec.resize(layout_.record_size);
   return hrec;

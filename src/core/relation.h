@@ -102,9 +102,7 @@ class Relation {
   Result<std::optional<HistoryTid>> HistoryBackPtr(const HistoryTid& at);
 
   /// Reads a history version from the active history file or a segment
-  /// (without its back pointer).  Segment reads trigger readahead of the
-  /// following pages when the readahead lever is on (vacuum writes chains
-  /// contiguously, so sequential prefetch covers the rest of the chain).
+  /// (without its back pointer).
   Result<std::vector<uint8_t>> FetchHistoryAt(const HistoryTid& at);
 
   // --- vacuum primitives (driven by DdlExecutor::Vacuum) ---

@@ -7,16 +7,13 @@
 
 #include "core/database.h"
 #include "core/plan_cache.h"
-#include "exec/compiled_expr.h"
 #include "exec/ddl_executor.h"
 #include "exec/dml_executor.h"
 #include "exec/eval.h"
 #include "exec/exec_env.h"
-#include "exec/morsel.h"
 #include "exec/plan.h"
 #include "exec/planner.h"
 #include "exec/query_executor.h"
-#include "exec/worker_pool.h"
 #include "tquel/ast.h"
 #include "tquel/binder.h"
 #include "tquel/parser.h"
@@ -305,24 +302,11 @@ Session::Session(Database* db, int id, SessionOptions options)
 Session::~Session() = default;
 
 ExecEnv Session::MakeExecEnv(TimePoint now) {
-  const DatabaseOptions& dbo = db_->options_;
-  auto join = options_.join_method.has_value() ? options_.join_method
-                                               : dbo.join_method;
-  ExecEnv exec{db_->env_, db_->dir_,  &db_->catalog_,
-               &registry_, &relations_, now,
-               dbo.buffer_frames, db_->journal_.get(),
-               EffectiveJoinMethod(join)};
-  exec.vector_exec = ResolveVectorExec(
-      options_.vector_exec.has_value() ? options_.vector_exec
-                                       : dbo.vector_exec);
-  exec.morsel_cap = ResolveMorselCapacity(options_.morsel_capacity > 0
-                                              ? options_.morsel_capacity
-                                              : dbo.morsel_capacity);
-  exec.exec_threads = ResolveExecThreads(
-      options_.exec_threads > 0 ? options_.exec_threads : dbo.exec_threads);
+  ExecEnv exec = db_->exec_template_;
+  exec.registry = &registry_;
+  exec.relations = &relations_;
+  exec.now = now;
   exec.temp_tag = temp_tag_;
-  exec.storage = db_->storage_;
-  exec.vacuum_partition = db_->vacuum_partition_;
   return exec;
 }
 
@@ -704,7 +688,7 @@ std::string Session::PlanCacheKeyFor(const RetrieveStmt& stmt,
     key += std::to_string(db_->catalog_gen_);
   }
   key += StrPrintf("\x1f" "k=%d%d%d", static_cast<int>(exec.join_method),
-                   exec.vector_exec ? 1 : 0, CompiledExprEnabled() ? 1 : 0);
+                   exec.vector_exec ? 1 : 0, exec.compiled_expr ? 1 : 0);
   return key;
 }
 
@@ -815,9 +799,6 @@ Result<ExecResult> Session::DeallocatePrepared(const std::string& name) {
 
 Result<ExecResult> Session::ExecuteStatementEmbedded(Statement* stmt) {
   ExecEnv exec = MakeExecEnv(options_.as_of.value_or(db_->now()));
-  ScopedCompiledExprChoice compiled(options_.compiled_expr.has_value()
-                                        ? options_.compiled_expr
-                                        : db_->options_.compiled_expr);
   bool data_mutating = false;
   // A pinned as-of must never stamp new versions into the past: mutating
   // statements re-resolve against the live clock.
@@ -915,9 +896,6 @@ Result<ExecResult> Session::ExecuteStatementConcurrent(Statement* stmt) {
         lp.data_mutating ? db_->AcquireTxTime()
                          : options_.as_of.value_or(db_->NowSnapshot());
     ExecEnv exec = MakeExecEnv(stmt_now);
-    ScopedCompiledExprChoice compiled(options_.compiled_expr.has_value()
-                                          ? options_.compiled_expr
-                                          : db_->options_.compiled_expr);
     bool data_mutating = false;
 
     if (lp.writes && journal != nullptr) {

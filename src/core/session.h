@@ -9,7 +9,6 @@
 
 #include "core/relation.h"
 #include "core/result_set.h"
-#include "exec/join_method.h"
 #include "storage/io_stats.h"
 #include "types/timepoint.h"
 #include "types/value.h"
@@ -26,13 +25,8 @@ struct BoundStatement;     // tquel/binder.h
 struct CachedPlan;         // core/plan_cache.h
 struct ExecEnv;            // exec/exec_env.h
 
-/// Per-session knobs, layered between test overrides and the database's
-/// DatabaseOptions in the one precedence chain
-///
-///   test override > session > DatabaseOptions > environment > default
-///
-/// (see DatabaseOptions::FromEnv).  Every field's "unset" value defers to
-/// the next layer down.
+/// Per-session options.  Engine configuration is not among them: it is
+/// fixed per database by DatabaseOptions at Database::Open.
 struct SessionOptions {
   /// Pinned `as of` transaction timestamp for read statements: every
   /// retrieve in this session sees the database exactly as it stood at
@@ -41,18 +35,13 @@ struct SessionOptions {
   /// the append-only stores).  Mutating statements always stamp with the
   /// live clock — history cannot be written into.
   std::optional<TimePoint> as_of;
-  std::optional<JoinMethod> join_method;
-  std::optional<bool> vector_exec;
-  int morsel_capacity = 0;  // 0 = unset
-  int exec_threads = 0;     // 0 = unset
-  std::optional<bool> compiled_expr;
 };
 
 /// One client's connection to a Database: the unit of statement execution
 /// and client state (range declarations, open relation handles, I/O
-/// accounting, pinned as-of timestamp, per-session exec options).  The
-/// embedded API (`Database::Execute`) is a thin wrapper over an implicit
-/// default session; the server's connection handlers each own one.
+/// accounting, pinned as-of timestamp).  The embedded API
+/// (`Database::Execute`) is a thin wrapper over an implicit default
+/// session; the server's connection handlers each own one.
 ///
 /// Sessions created by Database::CreateSession() may execute statements
 /// concurrently from different threads — the database's lock table
@@ -107,8 +96,9 @@ class Session {
 
   Session(Database* db, int id, SessionOptions options);
 
-  /// The executor environment for one statement at logical time `now`,
-  /// with every engine knob resolved session > database > environment.
+  /// The executor environment for one statement at logical time `now`:
+  /// the database's template plus this session's registry, relation
+  /// cache and scratch tag.
   ExecEnv MakeExecEnv(TimePoint now);
 
   /// Executes one already-parsed statement through the embedded or
@@ -144,7 +134,7 @@ class Session {
   Result<ExecResult> RunExecPrepared(ExecPreparedStmt* ex, ExecEnv& exec,
                                      bool* data_mutating);
 
-  // --- shared plan cache (perf lever TDB_PLAN_CACHE) ---------------------
+  // --- shared plan cache (DatabaseOptions::plan_cache) -------------------
 
   /// Retrieve entry point: routes through the shared plan cache when the
   /// database enables it and the statement is cacheable, falling back to

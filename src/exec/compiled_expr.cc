@@ -1,32 +1,6 @@
 #include "exec/compiled_expr.h"
 
-#include "core/database.h"
-
 namespace tdb {
-
-namespace {
-std::optional<bool> g_compiled_override;
-thread_local std::optional<bool> t_compiled_choice;
-}  // namespace
-
-bool CompiledExprEnabled() {
-  if (g_compiled_override.has_value()) return *g_compiled_override;
-  if (t_compiled_choice.has_value()) return *t_compiled_choice;
-  return DatabaseOptions::FromEnv().compiled_expr.value_or(true);
-}
-
-void SetCompiledExprEnabledForTest(std::optional<bool> enabled) {
-  g_compiled_override = enabled;
-}
-
-ScopedCompiledExprChoice::ScopedCompiledExprChoice(std::optional<bool> choice)
-    : previous_(t_compiled_choice) {
-  if (choice.has_value()) t_compiled_choice = choice;
-}
-
-ScopedCompiledExprChoice::~ScopedCompiledExprChoice() {
-  t_compiled_choice = previous_;
-}
 
 namespace {
 

@@ -14,36 +14,6 @@
 
 namespace tdb {
 
-/// Whether the planner lowers expressions to compiled programs, resolved
-/// through the one precedence chain (test override > per-statement scope >
-/// TDB_COMPILED_EXPR > on).  Disabling it forces every evaluation back
-/// through the AST-walking Evaluator, which is the A/B lever the micro
-/// benchmarks and the golden I/O test use.  The planner calls this from
-/// free functions with no ExecEnv in reach, so session/database options
-/// are injected via ScopedCompiledExprChoice rather than a parameter.
-bool CompiledExprEnabled();
-
-/// Test hook: forces CompiledExprEnabled() to `enabled` (or back to the
-/// environment value with nullopt).  Lets the differential harness run the
-/// same query compiled and interpreted inside one process.  Outranks any
-/// ScopedCompiledExprChoice.
-void SetCompiledExprEnabledForTest(std::optional<bool> enabled);
-
-/// Installs a resolved session/database compiled_expr choice for the
-/// current thread for the lifetime of the scope (statement execution).
-/// nullopt leaves the environment default in force.  Nests: the innermost
-/// scope wins, and the previous choice is restored on destruction.
-class ScopedCompiledExprChoice {
- public:
-  explicit ScopedCompiledExprChoice(std::optional<bool> choice);
-  ~ScopedCompiledExprChoice();
-  ScopedCompiledExprChoice(const ScopedCompiledExprChoice&) = delete;
-  ScopedCompiledExprChoice& operator=(const ScopedCompiledExprChoice&) = delete;
-
- private:
-  std::optional<bool> previous_;
-};
-
 /// A flat postfix evaluation program lowered from an `Expr`,
 /// `TemporalExpr`, or `TemporalPred` tree at plan-build time.  Execution
 /// replaces the per-tuple recursive `Evaluator` walk (one virtual-free

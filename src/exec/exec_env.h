@@ -18,9 +18,11 @@
 namespace tdb {
 
 /// Everything an executor needs from the owning Database: the environment,
-/// the catalog, the open-relation cache, the I/O registry, and the current
-/// logical time.  A plain struct so executors stay decoupled from the
-/// Database facade.
+/// the catalog, the open-relation cache, the I/O registry, the current
+/// logical time, and the engine configuration.  Database::Open resolves
+/// its DatabaseOptions once into a template of this struct; each statement
+/// copies the template and fills in its session's fields.  A plain struct
+/// so executors stay decoupled from the Database facade.
 struct ExecEnv {
   Env* env = nullptr;
   std::string dir;
@@ -36,9 +38,10 @@ struct ExecEnv {
   /// How the planner chooses join order/method.  kPaper (the default)
   /// reproduces the tuple-substitution plans of the paper exactly.
   JoinMethod join_method = JoinMethod::kPaper;
-  /// Resolved engine knobs (DatabaseOptions > TDB_* env > defaults; see
-  /// ResolveVectorExec / ResolveMorselCapacity / ResolveExecThreads).
+  /// Morsel-at-a-time execution (off: the tuple-at-a-time engine).
   bool vector_exec = true;
+  /// Lower expressions to compiled programs (off: the AST Evaluator).
+  bool compiled_expr = true;
   size_t morsel_cap = 1024;
   /// Worker threads for morsel-driven parallel pipelines.  1 (the paper's
   /// measurement discipline) keeps execution strictly single-threaded.
@@ -48,7 +51,7 @@ struct ExecEnv {
   /// default session, keeping embedded scratch names byte-identical.
   std::string temp_tag;
   /// Production storage mode for every file the executors open or rebuild
-  /// (page size, checksums, shared pool, readahead).  Defaults reproduce
+  /// (page size, checksums, shared pool).  Defaults reproduce
   /// the paper byte-for-byte.
   StorageOptions storage;
   /// Vacuum segment-partition policy: "single" (one segment absorbs every

@@ -1,13 +1,8 @@
 #include "exec/join_method.h"
 
-#include "core/database.h"
 #include "util/stringx.h"
 
 namespace tdb {
-
-namespace {
-std::optional<JoinMethod> g_join_override;
-}  // namespace
 
 const char* JoinMethodName(JoinMethod m) {
   switch (m) {
@@ -33,19 +28,6 @@ std::optional<JoinMethod> ParseJoinMethod(const std::string& text) {
   if (t == "hash") return JoinMethod::kHash;
   if (t == "merge" || t == "interval") return JoinMethod::kMerge;
   return std::nullopt;
-}
-
-JoinMethod JoinMethodFromEnv() {
-  return DatabaseOptions::FromEnv().join_method.value_or(JoinMethod::kPaper);
-}
-
-JoinMethod EffectiveJoinMethod(std::optional<JoinMethod> option) {
-  if (g_join_override.has_value()) return *g_join_override;
-  return option.value_or(JoinMethodFromEnv());
-}
-
-void SetJoinMethodForTest(std::optional<JoinMethod> method) {
-  g_join_override = method;
 }
 
 }  // namespace tdb

@@ -38,20 +38,6 @@ const char* JoinMethodName(JoinMethod m);
 /// Parses "paper"/"auto"/"nlj"/"hash"/"merge" (case-insensitive).
 std::optional<JoinMethod> ParseJoinMethod(const std::string& text);
 
-/// The process-wide lever: TDB_JOIN_METHOD (read once).  Unset or
-/// unparseable means kPaper, keeping every paper-mode golden byte-identical
-/// by default.
-JoinMethod JoinMethodFromEnv();
-
-/// Resolves the method for one database: the test override (strongest, so
-/// harnesses can flip methods per query), then the DatabaseOptions value,
-/// then the environment lever.
-JoinMethod EffectiveJoinMethod(std::optional<JoinMethod> option);
-
-/// Test hook: forces EffectiveJoinMethod's result (nullopt restores the
-/// option/environment resolution).
-void SetJoinMethodForTest(std::optional<JoinMethod> method);
-
 }  // namespace tdb
 
 #endif  // CHRONOQUEL_EXEC_JOIN_METHOD_H_

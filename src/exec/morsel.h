@@ -2,7 +2,6 @@
 #define CHRONOQUEL_EXEC_MORSEL_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "storage/storage_file.h"
@@ -27,22 +26,6 @@ inline void FillIdentity(SelVec* sel, size_t n) {
   sel->resize(n);
   for (size_t i = 0; i < n; ++i) (*sel)[i] = static_cast<uint16_t>(i);
 }
-
-/// Resolves whether a Database runs morsel-at-a-time: test override >
-/// `option` (DatabaseOptions::vector_exec) > TDB_VECTOR_EXEC env (re-read
-/// every call, so tests can flip it without a process restart) > on.  Both
-/// modes perform identical page I/O.
-bool ResolveVectorExec(const std::optional<bool>& option);
-
-/// Test hook: forces ResolveVectorExec() to `enabled` (or back to the
-/// option/environment default with nullopt).
-void SetVectorExecEnabledForTest(std::optional<bool> enabled);
-
-/// Resolves a Database's morsel capacity in records: `option`
-/// (DatabaseOptions::morsel_capacity, when > 0) > TDB_MORSEL_CAP env
-/// (re-read every call) > 1024, clamped to [1, 65535] so selection-vector
-/// indexes fit in uint16_t.
-size_t ResolveMorselCapacity(int option);
 
 }  // namespace tdb
 

@@ -163,7 +163,7 @@ struct SubstitutionNode : PlanNode {
 /// The batched hash join (cost-based planning only): the build side runs to
 /// completion populating an in-memory table keyed on its join expression,
 /// then the probe side streams — vectorized through the morsel machinery
-/// when TDB_VECTOR_EXEC is on — looking up matches per row.  `residual`
+/// when ExecEnv::vector_exec is on — looking up matches per row.  `residual`
 /// holds the cross-variable conjuncts beyond the consumed equality; its
 /// child stays null (both sides are this node's own children).
 struct HashJoinNode : PlanNode {
@@ -212,11 +212,6 @@ struct ProjectNode : PlanNode {
 /// agree on it.
 struct PhysicalPlan {
   std::unique_ptr<ProjectNode> root;
-
-  /// Set on clones the plan cache hands out (ClonePlanForExec): the
-  /// statement is hot — it has run before and will likely run again — so
-  /// the executor passes history-readahead hints to its version sources.
-  bool from_plan_cache = false;
 
   // The statement's rollback point: `as of` when given, the logical now
   // otherwise (TQuel's default view of transaction time).

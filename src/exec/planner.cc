@@ -289,10 +289,12 @@ void CollectPostFoldVars(const Expr* expr, std::set<int>* out) {
 }
 
 /// Converts an AccessChoice into the corresponding plan leaf, rendering the
-/// probe/bound expressions for display.
+/// probe/bound expressions for display and, when `compiled`, lowering them
+/// to programs.
 std::unique_ptr<AccessNode> NodeForChoice(const AccessChoice& choice, int var,
                                           const std::string& var_name,
-                                          Relation* rel, bool current_only) {
+                                          Relation* rel, bool current_only,
+                                          bool compiled) {
   std::unique_ptr<AccessNode> node;
   switch (choice.kind) {
     case AccessChoice::Kind::kScan:
@@ -302,7 +304,7 @@ std::unique_ptr<AccessNode> NodeForChoice(const AccessChoice& choice, int var,
       auto keyed = std::make_unique<KeyedLookupNode>();
       keyed->key_expr = choice.key_expr;
       keyed->key_text = choice.key_expr->ToString();
-      if (CompiledExprEnabled()) {
+      if (compiled) {
         keyed->key_prog = CompiledProgram::CompileExpr(*choice.key_expr);
       }
       node = std::move(keyed);
@@ -312,7 +314,7 @@ std::unique_ptr<AccessNode> NodeForChoice(const AccessChoice& choice, int var,
       auto ix = std::make_unique<IndexEqNode>();
       ix->key_expr = choice.key_expr;
       ix->key_text = choice.key_expr->ToString();
-      if (CompiledExprEnabled()) {
+      if (compiled) {
         ix->key_prog = CompiledProgram::CompileExpr(*choice.key_expr);
       }
       ix->index = choice.index;
@@ -328,7 +330,7 @@ std::unique_ptr<AccessNode> NodeForChoice(const AccessChoice& choice, int var,
       range->hi_inclusive = choice.hi_inclusive;
       if (choice.lo_expr != nullptr) range->lo_text = choice.lo_expr->ToString();
       if (choice.hi_expr != nullptr) range->hi_text = choice.hi_expr->ToString();
-      if (CompiledExprEnabled()) {
+      if (compiled) {
         if (choice.lo_expr != nullptr) {
           range->lo_prog = CompiledProgram::CompileExpr(*choice.lo_expr);
         }
@@ -388,8 +390,9 @@ std::vector<LevelConjuncts> AssignConjuncts(
 }
 
 /// Populates `filter` with the given conjuncts: ASTs, rendered text, and —
-/// all-or-nothing — compiled programs when compiled evaluation is enabled.
-void FillFilterNode(FilterNode* filter, const LevelConjuncts& residual) {
+/// all-or-nothing — compiled programs when `compiled`.
+void FillFilterNode(FilterNode* filter, const LevelConjuncts& residual,
+                    bool compiled) {
   for (const Conjunct* c : residual.where) {
     filter->where.push_back(c->expr);
     filter->pred_text.push_back(c->expr->ToString());
@@ -398,7 +401,7 @@ void FillFilterNode(FilterNode* filter, const LevelConjuncts& residual) {
     filter->when.push_back(c->pred);
     filter->pred_text.push_back("when " + c->pred->ToString());
   }
-  if (CompiledExprEnabled()) {
+  if (compiled) {
     // All-or-nothing: the executor takes the compiled path only when every
     // conjunct of the level lowered (aggregates in `where` are rejected by
     // the binder, so in practice this always succeeds).
@@ -424,10 +427,11 @@ void FillFilterNode(FilterNode* filter, const LevelConjuncts& residual) {
 /// Wraps an access leaf in a FilterNode when its level has residual
 /// conjuncts to apply.
 std::unique_ptr<PlanNode> WrapLevel(std::unique_ptr<AccessNode> access,
-                                    const LevelConjuncts& residual) {
+                                    const LevelConjuncts& residual,
+                                    bool compiled) {
   if (residual.where.empty() && residual.when.empty()) return access;
   auto filter = std::make_unique<FilterNode>();
-  FillFilterNode(filter.get(), residual);
+  FillFilterNode(filter.get(), residual, compiled);
   filter->child = std::move(access);
   return filter;
 }
@@ -579,7 +583,8 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
                                        where_conjuncts, available);
     return NodeForChoice(choice, var, bound.vars[static_cast<size_t>(var)].name,
                          rels[static_cast<size_t>(var)],
-                         current_only[static_cast<size_t>(var)]);
+                         current_only[static_cast<size_t>(var)],
+                         env.compiled_expr);
   };
   auto nested_plan = [&](const std::vector<int>& order) {
     std::vector<LevelConjuncts> residual =
@@ -588,7 +593,8 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
     std::set<int> outer;
     for (size_t level = 0; level < order.size(); ++level) {
       nested->levels.push_back(
-          WrapLevel(access_for(order[level], outer), residual[level]));
+          WrapLevel(access_for(order[level], outer), residual[level],
+                    env.compiled_expr));
       outer.insert(order[level]);
     }
     return nested;
@@ -622,13 +628,15 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
         std::vector<LevelConjuncts> residual =
             AssignConjuncts({outer, inner}, where_conjuncts, when_conjuncts);
         auto sub = std::make_unique<SubstitutionNode>();
-        sub->outer = WrapLevel(access_for(outer, {}), residual[0]);
+        sub->outer = WrapLevel(access_for(outer, {}), residual[0],
+                               env.compiled_expr);
         sub->inner = WrapLevel(
             NodeForChoice(inner_choice, inner,
                           bound.vars[static_cast<size_t>(inner)].name,
                           rels[static_cast<size_t>(inner)],
-                          current_only[static_cast<size_t>(inner)]),
-            residual[1]);
+                          current_only[static_cast<size_t>(inner)],
+                          env.compiled_expr),
+            residual[1], env.compiled_expr);
         return sub;
       }
     }
@@ -811,7 +819,7 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
       }
     };
     auto side_node = [&](int v, const LevelConjuncts& lc) {
-      auto node = WrapLevel(access_for(v, {}), lc);
+      auto node = WrapLevel(access_for(v, {}), lc, env.compiled_expr);
       node->est_rows = est_in[static_cast<size_t>(v)];
       return node;
     };
@@ -830,11 +838,11 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
       node->probe_key = p == 0 ? key0 : key1;
       node->key_text =
           node->build_key->ToString() + " = " + node->probe_key->ToString();
-      if (CompiledExprEnabled()) {
+      if (env.compiled_expr) {
         node->build_prog = CompiledProgram::CompileExpr(*node->build_key);
         node->probe_prog = CompiledProgram::CompileExpr(*node->probe_key);
       }
-      FillFilterNode(&node->residual, cross);
+      FillFilterNode(&node->residual, cross, env.compiled_expr);
       node->est_rows = est_join;
       return node;
     };
@@ -846,7 +854,7 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
       node->left = side_node(0, sides[0]);
       node->right = side_node(1, sides[1]);
       node->pred_text = overlap->pred->ToString();
-      FillFilterNode(&node->residual, cross);
+      FillFilterNode(&node->residual, cross, env.compiled_expr);
       node->est_rows = est_join;
       return node;
     };
@@ -908,7 +916,8 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
   } else if (rels.size() == 1) {
     std::vector<LevelConjuncts> residual =
         AssignConjuncts({0}, where_conjuncts, when_conjuncts);
-    root->child = WrapLevel(access_for(0, {}), residual[0]);
+    root->child =
+        WrapLevel(access_for(0, {}), residual[0], env.compiled_expr);
   } else if (env.join_method != JoinMethod::kPaper) {
     TDB_ASSIGN_OR_RETURN(root->child, cost_join());
   } else {
@@ -1058,7 +1067,6 @@ Result<std::unique_ptr<PlanNode>> CloneNode(const PlanNode* node,
 Result<std::shared_ptr<PhysicalPlan>> ClonePlanForExec(const PhysicalPlan& tmpl,
                                                        const ExecEnv& env) {
   auto plan = std::make_shared<PhysicalPlan>();
-  plan->from_plan_cache = true;
   // Cacheable statements carry no `as of` clause, so the rollback point is
   // always the executing statement's "now".
   plan->as_of_at = env.now;

@@ -20,7 +20,7 @@ namespace {
 
 /// Pages per parallel-scan chunk.  Fixed (never derived from the thread
 /// count) so the chunk boundaries — and therefore every per-chunk merge —
-/// are identical at any TDB_EXEC_THREADS, which is what makes row order,
+/// are identical at any exec_threads, which is what makes row order,
 /// stats, and IoCounters reproducible across thread counts.
 constexpr uint32_t kParallelChunkPages = 4;
 
@@ -196,9 +196,6 @@ Result<AccessSpec> QueryExecutor::SpecFor(const AccessNode& node,
                                           const Binding& binding) const {
   AccessSpec spec;
   spec.current_only = node.current_only;
-  // Hot (plan-cached) statements prime history reads through the shared
-  // pool; the depth lever is the storage readahead setting.
-  if (hot_plan_) spec.readahead_hint = env_.storage.readahead;
   switch (node.kind) {
     case PlanNode::Kind::kSeqScan:
       spec.kind = AccessSpec::Kind::kScan;
@@ -1516,7 +1513,6 @@ Result<ExecResult> QueryExecutor::Retrieve(RetrieveStmt* stmt,
   if (plan == nullptr) {
     TDB_ASSIGN_OR_RETURN(plan, BuildPlan(*stmt, bound, env_));
   }
-  hot_plan_ = plan->from_plan_cache;
   // Root wall time covers everything from here on (folding, iteration,
   // sort, materialization); the stats object outlives this frame through
   // the shared plan, so the timer's late write lands safely.
@@ -1535,7 +1531,7 @@ Result<ExecResult> QueryExecutor::Retrieve(RetrieveStmt* stmt,
   std::vector<std::optional<CompiledProgram>> target_progs;
   std::optional<CompiledProgram> valid_from_prog;
   std::optional<CompiledProgram> valid_to_prog;
-  if (CompiledExprEnabled()) {
+  if (env_.compiled_expr) {
     target_progs.reserve(stmt->targets.size());
     for (const TargetItem& t : stmt->targets) {
       target_progs.push_back(CompiledProgram::CompileExpr(*t.expr));

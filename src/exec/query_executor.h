@@ -198,12 +198,9 @@ class QueryExecutor {
   TimePoint as_of_through_;
   int temp_counter_ = 0;
 
-  /// True when this statement runs the morsel-driven engine (the
-  /// TDB_VECTOR_EXEC lever, sampled once per Retrieve).
+  /// True when this statement runs the morsel-driven engine
+  /// (ExecEnv::vector_exec).
   bool vectorized_ = false;
-  /// True when the executing plan came from the plan cache: access specs
-  /// carry the storage readahead depth as a history-prefetch hint.
-  bool hot_plan_ = false;
   /// Root projector/sink split of Retrieve's emit path, wired while a
   /// statement runs: the projector is the thread-safe row-building half
   /// (copied per parallel-probe task), the sink the ordering-sensitive

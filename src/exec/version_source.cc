@@ -53,23 +53,6 @@ Result<std::unique_ptr<VersionSource>> VersionSource::Create(Relation* rel,
       new VersionSource(rel, std::move(spec)));
 }
 
-void VersionSource::MaybePrefetch(StorageFile* file, uint32_t from_page) {
-  if (spec_.readahead_hint <= 0 || file == nullptr) return;
-  // Advisory: a prefetch failure just means the page is read (and any
-  // error surfaced) at the normal fetch.
-  (void)file->pager()->Readahead(from_page, spec_.readahead_hint,
-                                 IoCategory::kData);
-}
-
-void VersionSource::PrefetchChain() {
-  if (spec_.readahead_hint <= 0 || !chain_next_.has_value()) return;
-  const HistoryTid& at = *chain_next_;
-  StorageFile* file = at.seg == 0
-                          ? static_cast<StorageFile*>(rel_->history())
-                          : static_cast<StorageFile*>(rel_->SegmentFile(at.seg));
-  MaybePrefetch(file, at.tid.page);
-}
-
 Result<bool> VersionSource::Next() {
   switch (spec_.kind) {
     case AccessSpec::Kind::kScan:
@@ -115,10 +98,8 @@ Result<bool> VersionSource::NextScan() {
         // The history store is a heap: range bounds cannot be used here;
         // the executor re-applies every predicate, so a full scan is
         // correct (just not accelerated).
-        MaybePrefetch(rel_->history(), 0);
         TDB_ASSIGN_OR_RETURN(cursor_, rel_->history()->Scan());
       } else {
-        MaybePrefetch(rel_->segments()[seg_pos_].file.get(), 0);
         TDB_ASSIGN_OR_RETURN(cursor_,
                              rel_->segments()[seg_pos_].file->Scan());
       }
@@ -170,10 +151,8 @@ Result<size_t> VersionSource::NextScanBatch(Morsel* m, size_t max) {
           TDB_ASSIGN_OR_RETURN(cursor_, rel_->primary()->Scan());
         }
       } else if (stage_ == Stage::kHistoryScan) {
-        MaybePrefetch(rel_->history(), 0);
         TDB_ASSIGN_OR_RETURN(cursor_, rel_->history()->Scan());
       } else {
-        MaybePrefetch(rel_->segments()[seg_pos_].file.get(), 0);
         TDB_ASSIGN_OR_RETURN(cursor_,
                              rel_->segments()[seg_pos_].file->Scan());
       }
@@ -219,7 +198,6 @@ Result<size_t> VersionSource::NextKeyedBatch(Morsel* m, size_t max) {
         cursor_.reset();
         if (rel_->two_level() && !spec_.current_only) {
           TDB_ASSIGN_OR_RETURN(chain_next_, rel_->AnchorLookup(spec_.key));
-          PrefetchChain();
           stage_ = Stage::kHistoryChain;
           continue;
         }
@@ -293,7 +271,6 @@ Result<bool> VersionSource::NextKeyed() {
         cursor_.reset();
         if (rel_->two_level() && !spec_.current_only) {
           TDB_ASSIGN_OR_RETURN(chain_next_, rel_->AnchorLookup(spec_.key));
-          PrefetchChain();
           stage_ = Stage::kHistoryChain;
           continue;
         }

@@ -26,12 +26,6 @@ struct AccessSpec {
   /// Skip history data (two-level store / 2-level index) — valid only when
   /// the statement's clauses restrict the variable to current versions.
   bool current_only = false;
-  /// Advisory prefetch depth (pages) for history reads, set by the
-  /// executor when the plan came from the plan cache: a hot statement's
-  /// history-store scans and chain walks are worth priming the shared
-  /// buffer pool for.  0 = off; a no-op without a pool (private frames),
-  /// so paper-mode page I/O is untouched.
-  int readahead_hint = 0;
 };
 
 /// Streams the VersionRefs of one relation reachable through an access
@@ -63,12 +57,6 @@ class VersionSource {
  private:
   VersionSource(Relation* rel, AccessSpec spec)
       : rel_(rel), spec_(std::move(spec)) {}
-
-  /// Advisory pool readahead of `spec_.readahead_hint` pages of `file`
-  /// starting at `from_page`; no-op when the hint is unset.
-  void MaybePrefetch(StorageFile* file, uint32_t from_page);
-  /// Primes the pages at the head of the pending history chain.
-  void PrefetchChain();
 
   Result<bool> NextScan();
   Result<bool> NextKeyed();

@@ -2,38 +2,9 @@
 
 #include <algorithm>
 
-#include "core/database.h"
-
 namespace tdb {
 
-namespace {
-
-std::optional<int>& ExecThreadsOverride() {
-  static std::optional<int> v;
-  return v;
-}
-
-int ClampThreads(long long n) {
-  if (n < 1) return 1;
-  if (n > 64) return 64;
-  return static_cast<int>(n);
-}
-
-}  // namespace
-
-int ResolveExecThreads(int option) {
-  if (ExecThreadsOverride().has_value()) {
-    return ClampThreads(*ExecThreadsOverride());
-  }
-  if (option > 0) return ClampThreads(option);
-  int env_threads = DatabaseOptions::FromEnv().exec_threads;
-  if (env_threads > 0) return ClampThreads(env_threads);
-  return 1;
-}
-
-void SetExecThreadsForTest(std::optional<int> threads) {
-  ExecThreadsOverride() = threads;
-}
+int ResolveExecThreads(int option) { return std::clamp(option, 1, 64); }
 
 WorkerPool& WorkerPool::Shared() {
   static WorkerPool pool;

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -103,13 +102,10 @@ class TaskPool {
   bool shutdown_ = false;
 };
 
-/// Resolves the executor thread count for one Database: test override >
-/// `option` (when > 0) > TDB_EXEC_THREADS env > 1 (the paper's
-/// single-threaded measurement discipline), clamped to [1, 64].
+/// Clamps DatabaseOptions::exec_threads to [1, 64]: the executor thread
+/// count a Database runs with (1 is the paper's single-threaded
+/// measurement discipline).
 int ResolveExecThreads(int option);
-
-/// Process-wide override for tests (nullopt restores normal resolution).
-void SetExecThreadsForTest(std::optional<int> threads);
 
 }  // namespace tdb
 

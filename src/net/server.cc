@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "core/session.h"
 #include "net/protocol.h"
@@ -21,12 +20,6 @@ namespace tdb {
 namespace net {
 
 namespace {
-
-/// "on unless 0" boolean lever, like DatabaseOptions::FromEnv's.
-bool EnvFlagSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && std::string_view(v) != "0";
-}
 
 /// epoll_event user-data tags for the two non-connection descriptors; a
 /// connection carries its Conn pointer, which is never 0 or 1.
@@ -113,8 +106,7 @@ Status Server::Start() {
   if (::listen(listen_fd_, 64) != 0) {
     return Status::IOError("listen: " + std::string(strerror(errno)));
   }
-  use_epoll_ = options_.epoll.value_or(EnvFlagSet("TDB_SERVER_EPOLL"));
-  if (use_epoll_) return StartEpoll();
+  if (options_.epoll) return StartEpoll();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -166,7 +158,7 @@ void Server::Stop() {
     if (stopping_) return;
     stopping_ = true;
   }
-  if (use_epoll_) {
+  if (options_.epoll) {
     // Poke the event loop awake; it returns on the wake tag.
     if (wake_fd_ >= 0) {
       const uint64_t one = 1;

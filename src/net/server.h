@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,12 +51,12 @@ struct ServerOptions {
   /// TCP port, used when unix_path is empty; 0 picks an ephemeral port
   /// (read it back from port() after Start).
   int tcp_port = 0;
-  /// Connection multiplexing.  Unset defers to TDB_SERVER_EPOLL; the
-  /// default (off) dedicates one thread to every connection.  On, a single
-  /// epoll event loop watches every connection and hands ready frames to a
-  /// bounded worker pool, so N mostly-idle clients cost N file descriptors
-  /// and a fixed thread count instead of N parked threads.
-  std::optional<bool> epoll;
+  /// Connection multiplexing.  Off (the default) dedicates one thread to
+  /// every connection.  On, a single epoll event loop watches every
+  /// connection and hands ready frames to a bounded worker pool, so N
+  /// mostly-idle clients cost N file descriptors and a fixed thread count
+  /// instead of N parked threads.
+  bool epoll = false;
   /// Worker threads for epoll mode; 0 sizes from hardware concurrency
   /// (clamped to [2, 16]).
   int epoll_workers = 0;
@@ -73,7 +72,7 @@ struct ServerOptions {
 ///  - thread-per-connection (default): each accepted socket gets a thread
 ///    that loops read-frame / dispatch, and a blocked writer parks its
 ///    thread on the relation lock exactly like an embedded caller would;
-///  - epoll (ServerOptions::epoll / TDB_SERVER_EPOLL): one event loop
+///  - epoll (ServerOptions::epoll): one event loop
 ///    thread owns the listener and every connection; a ready connection is
 ///    disarmed (EPOLLONESHOT) and handed to a bounded TaskPool worker,
 ///    which reads exactly one frame, dispatches it, and re-arms.  One
@@ -93,9 +92,6 @@ class Server {
 
   /// The bound TCP port (after Start, TCP mode only).
   int port() const { return port_; }
-
-  /// True when Start selected the epoll event loop (test observability).
-  bool epoll_mode() const { return use_epoll_; }
 
  private:
   /// One connection's state, shared by both modes: the socket and the
@@ -137,7 +133,6 @@ class Server {
   /// before closing it.
   std::vector<int> conn_fds_;
 
-  bool use_epoll_ = false;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: Stop() pokes the event loop awake
   std::unique_ptr<TaskPool> pool_;

@@ -2,20 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 namespace tdb {
 namespace obs {
 
 namespace {
-
-std::optional<bool> g_metrics_override;
-
-bool MetricsEnabledFromEnv() {
-  const char* v = std::getenv("TDB_METRICS");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
@@ -47,16 +38,6 @@ void AppendJsonString(const std::string& s, std::string* out) {
 }
 
 }  // namespace
-
-bool MetricsEnabled() {
-  if (g_metrics_override.has_value()) return *g_metrics_override;
-  static const bool enabled = MetricsEnabledFromEnv();
-  return enabled;
-}
-
-void SetMetricsEnabledForTest(std::optional<bool> enabled) {
-  g_metrics_override = enabled;
-}
 
 uint64_t HistogramSnapshot::Quantile(double p) const {
   if (count == 0) return 0;

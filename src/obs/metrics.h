@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,15 +13,6 @@
 
 namespace tdb {
 namespace obs {
-
-/// True unless the TDB_METRICS environment variable is set to "0".  The
-/// default for Database instrumentation; consulted once per process (a
-/// test override short-circuits the cached value).
-bool MetricsEnabled();
-
-/// Test hook: forces MetricsEnabled() to `enabled` (or back to the
-/// environment value with nullopt) without re-exec'ing the process.
-void SetMetricsEnabledForTest(std::optional<bool> enabled);
 
 /// A monotonically increasing count.  The write path is a single relaxed
 /// atomic add and the read path a relaxed load: no locks anywhere, so
@@ -152,10 +142,10 @@ struct MetricsSnapshot {
 /// instrumentation is pointer-chasing plus relaxed atomics — after the
 /// one-time lookup, no locks on either the write or the read path.
 ///
-/// A disabled registry (TDB_METRICS=0, or DatabaseOptions::metrics =
-/// false) is never wired into the storage layer at all: every metrics
-/// pointer down the stack stays null and the hot paths pay a single
-/// predictable branch, keeping figure output byte-identical.
+/// A disabled registry (DatabaseOptions::metrics = false) is never wired
+/// into the storage layer at all: every metrics pointer down the stack
+/// stays null and the hot paths pay a single predictable branch, keeping
+/// figure output byte-identical.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(bool enabled) : enabled_(enabled) {}

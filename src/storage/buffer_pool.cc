@@ -196,22 +196,6 @@ Result<uint8_t*> BufferPool::AllocatePage(Pager* p, uint32_t pno,
   return f->data.data();
 }
 
-Status BufferPool::Prefetch(Pager* p, uint32_t pno, IoCategory cat) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Find(p, pno) != nullptr) return Status::OK();
-  ++stats_.misses;
-  TDB_ASSIGN_OR_RETURN(Frame * f, Victim(p));
-  TDB_RETURN_NOT_OK(p->LoadFrom(pno, f->data.data(), /*count=*/true, cat));
-  f->owner = p;
-  f->pno = pno;
-  f->category = cat;
-  f->dirty = false;
-  f->last_use = ++tick_;
-  index_[{p, pno}] = f;
-  p->BumpGeneration();
-  return Status::OK();
-}
-
 std::vector<uint32_t> BufferPool::ResidentPages(const Pager* p) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint32_t> pnos;

@@ -98,9 +98,6 @@ class BufferPool {
   Status PrimeFrame(Pager* p, uint32_t pno, IoCategory cat);
   Result<uint8_t*> AllocatePage(Pager* p, uint32_t pno, IoCategory cat);
   std::vector<uint32_t> ResidentPages(const Pager* p) const;
-  /// Counted load of `pno` into the pool without touching `p`'s pin
-  /// (history-chain readahead; only called behind the readahead lever).
-  Status Prefetch(Pager* p, uint32_t pno, IoCategory cat);
   /// Writes back `p`'s dirty frames in ascending page order.
   Status Flush(Pager* p);
   /// Flush + forget all of `p`'s frames (measurement barrier / close).

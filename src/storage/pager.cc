@@ -28,8 +28,7 @@ Pager::Pager(std::unique_ptr<RandomRWFile> file, std::string path,
       page_size_(sopts.page_size),
       usable_size_(sopts.page_size - (sopts.checksum ? 4u : 0u)),
       checksum_(sopts.checksum),
-      pool_(sopts.pool),
-      readahead_(sopts.readahead) {
+      pool_(sopts.pool) {
   if (pool_ != nullptr) {
     pool_cap_ = pool_->per_file_frames();
   } else {
@@ -289,16 +288,6 @@ Result<uint32_t> Pager::AllocatePage(IoCategory cat) {
   // even if the frame is evicted later.
   TDB_RETURN_NOT_OK(GrowFile());
   return pno;
-}
-
-Status Pager::Readahead(uint32_t pno, int n, IoCategory cat) {
-  if (pool_ == nullptr || n <= 0) return Status::OK();
-  for (int i = 0; i < n; ++i) {
-    const uint64_t p = static_cast<uint64_t>(pno) + static_cast<uint64_t>(i);
-    if (p >= page_count_) break;
-    TDB_RETURN_NOT_OK(pool_->Prefetch(this, static_cast<uint32_t>(p), cat));
-  }
-  return Status::OK();
 }
 
 Status Pager::Sync() {

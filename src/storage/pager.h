@@ -20,7 +20,7 @@ class BufferPool;
 
 /// Production-storage knobs for one file (ROADMAP item 3).  The defaults
 /// reproduce the paper's measurement discipline exactly: 1024-byte pages,
-/// no checksums, private frames, no readahead.
+/// no checksums, private frames.
 struct StorageOptions {
   /// Bytes per page.  1024 is the paper's mandated size; production uses
   /// 4096.  Must be in [512, 65536] and a multiple of 256.
@@ -31,9 +31,6 @@ struct StorageOptions {
   /// Shared buffer pool; when set the pager keeps NO private frames and
   /// every page lives in the pool (its page_size must match).
   BufferPool* pool = nullptr;
-  /// History-chain readahead depth in pages (pool mode only; 0 = off).
-  /// Plumbed to Relation, which prefetches ahead of segment chain walks.
-  int readahead = 0;
 };
 
 /// Page-granularity access to one relation file through a small pool of
@@ -110,11 +107,6 @@ class Pager {
   /// page number.  The new page is dirty.
   Result<uint32_t> AllocatePage(IoCategory cat);
 
-  /// Pool-mode readahead: loads pages [pno, pno+n) that are not already
-  /// resident, each counted as one read, without moving this pager's
-  /// pinned frame.  No-op in private-frame mode or past EOF.
-  Status Readahead(uint32_t pno, int n, IoCategory cat);
-
   /// Writes back every dirty frame.
   Status Flush();
 
@@ -141,8 +133,6 @@ class Pager {
   /// Bytes per page available to records (page_size minus the CRC trailer
   /// when checksums are on).  Page views must be built with this.
   uint32_t usable_size() const { return usable_size_; }
-  /// Readahead depth requested for this file (0 = off).
-  int readahead() const { return readahead_; }
   BufferPool* pool() const { return pool_; }
 
   /// Resident-page budget: the private frame count, or the pool's per-file
@@ -228,7 +218,6 @@ class Pager {
   bool checksum_ = false;
   BufferPool* pool_ = nullptr;
   int pool_cap_ = 0;
-  int readahead_ = 0;
   std::vector<Frame> frames_;
   Frame* last_touched_ = nullptr;
   uint64_t tick_ = 0;

@@ -79,7 +79,7 @@ const std::vector<std::string>& VacuumScript() {
 struct RunConfig {
   const std::vector<std::string>* script = &Script();
   DurabilityMode mode = DurabilityMode::kJournal;
-  uint32_t page_size = 0;        // 0 = paper 1024
+  uint32_t page_size = kPageSize;  // the paper's 1024
   std::string vacuum_partition;  // "" = single
 };
 

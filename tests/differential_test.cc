@@ -8,7 +8,10 @@
 // harness guards the observability and vectorization PRs: instrumentation
 // and batching must never change results.
 //
-// After every seed the metric invariants are checked on both databases:
+// Each variant is its own database, opened with that engine configuration
+// and built by the same seeded statement stream, so the generated DML runs
+// under every variant too.  After every seed the metric invariants are
+// checked on all eight databases:
 // buffer requests == hits + misses, misses == physical reads per file, and
 // journal commits == batches with zero rollbacks on a clean run.
 //
@@ -24,8 +27,6 @@
 
 #include "core/database.h"
 #include "env/env.h"
-#include "exec/compiled_expr.h"
-#include "exec/morsel.h"
 #include "obs/metrics.h"
 #include "util/random.h"
 #include "util/stringx.h"
@@ -49,15 +50,17 @@ struct Instance {
 /// Builds one database instance from `seed`: two interval relations with
 /// seed-dependent organizations, a seeded tuple population, and a few
 /// update/delete rounds so history chains and (for 50%-style layouts)
-/// overflow pages exist.  Both durability modes replay the identical
-/// statement sequence, so the page images they query are the same.
-Instance MakeInstance(uint64_t seed, DurabilityMode durability) {
+/// overflow pages exist.  Every variant replays the identical statement
+/// sequence, so the page images they query are the same.
+Instance MakeInstance(uint64_t seed, DurabilityMode durability, bool vec,
+                      bool compiled) {
   Instance inst;
   inst.env = std::make_unique<MemEnv>();
   DatabaseOptions options;
   options.env = inst.env.get();
   options.durability = durability;
-  options.metrics = true;
+  options.vector_exec = vec;
+  options.compiled_expr = compiled;
   auto db = Database::Open("/db", options);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   if (!db.ok()) return inst;
@@ -230,10 +233,17 @@ TEST(DifferentialTest, EightWayExecutionAgrees) {
   int queries_checked = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    Instance plain = MakeInstance(seed, DurabilityMode::kOff);
-    Instance journaled = MakeInstance(seed, DurabilityMode::kJournal);
-    ASSERT_NE(plain.db, nullptr);
-    ASSERT_NE(journaled.db, nullptr);
+    // {vectorized, tuple} x {compiled, ast} x {off, journal}.
+    std::vector<Instance> variants;
+    for (bool vec : {true, false}) {
+      for (bool compiled : {true, false}) {
+        for (DurabilityMode durability :
+             {DurabilityMode::kOff, DurabilityMode::kJournal}) {
+          variants.push_back(MakeInstance(seed, durability, vec, compiled));
+          ASSERT_NE(variants.back().db, nullptr);
+        }
+      }
+    }
 
     // A separate query stream, so adding a data-generation step never
     // shifts which queries a seed runs.
@@ -242,31 +252,23 @@ TEST(DifferentialTest, EightWayExecutionAgrees) {
       std::string text = GenQuery(qrng);
       SCOPED_TRACE(text);
       std::vector<std::string> renderings;
-      for (bool vec : {true, false}) {
-        SetVectorExecEnabledForTest(vec);
-        for (bool compiled : {true, false}) {
-          SetCompiledExprEnabledForTest(compiled);
-          for (Database* db : {plain.db.get(), journaled.db.get()}) {
-            auto r = db->Execute(text);
-            ASSERT_TRUE(r.ok()) << r.status().ToString();
-            renderings.push_back(
-                r->result.ToString(TimeResolution::kSecond) +
-                StrPrintf("(%zu rows)", r->result.num_rows()));
-          }
-        }
+      for (Instance& inst : variants) {
+        auto r = inst.db->Execute(text);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        renderings.push_back(r->result.ToString(TimeResolution::kSecond) +
+                             StrPrintf("(%zu rows)", r->result.num_rows()));
       }
-      SetCompiledExprEnabledForTest(std::nullopt);
-      SetVectorExecEnabledForTest(std::nullopt);
       ASSERT_EQ(renderings.size(), 8u);
-      // {vectorized, tuple} x {compiled, ast} x {off, journal}: everything
-      // must agree with the first rendering.
+      // Everything must agree with the first rendering.
       for (size_t i = 1; i < renderings.size(); ++i) {
         EXPECT_EQ(renderings[0], renderings[i]) << "variant " << i;
       }
       ++queries_checked;
     }
-    CheckMetricInvariants(plain.db.get(), /*journaled=*/false);
-    CheckMetricInvariants(journaled.db.get(), /*journaled=*/true);
+    for (size_t i = 0; i < variants.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "variant " << i);
+      CheckMetricInvariants(variants[i].db.get(), /*journaled=*/i % 2 == 1);
+    }
   }
   EXPECT_EQ(queries_checked, seeds * 12);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <regex>
 
 #include "benchlib/workload.h"
@@ -13,7 +14,6 @@
 #include "env/env.h"
 #include "exec/join_method.h"
 #include "exec/plan.h"
-#include "obs/metrics.h"
 
 namespace tdb {
 namespace {
@@ -28,9 +28,15 @@ std::string MaskTimes(const std::string& s) {
 
 class ExplainTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Open(JoinMethod::kPaper); }
+
+  /// (Re)builds the fixture database planning joins with `method`.
+  void Open(JoinMethod method) {
+    db_.reset();
+    env_ = std::make_unique<MemEnv>();
     DatabaseOptions options;
-    options.env = &env_;
+    options.env = env_.get();
+    options.join_method = method;
     auto db = Database::Open("/db", options);
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
@@ -60,7 +66,7 @@ class ExplainTest : public ::testing::Test {
     return desc.ok() ? *desc : std::string();
   }
 
-  MemEnv env_;
+  std::unique_ptr<MemEnv> env_;
   std::unique_ptr<Database> db_;
 };
 
@@ -153,15 +159,14 @@ TEST_F(ExplainTest, ProjectDecorationsGolden) {
   EXPECT_NE(desc.find(" sort by id desc\n"), std::string::npos) << desc;
 }
 
-// --- Cost-based join methods (TDB_JOIN_METHOD levers) --------------------
+// --- Cost-based join methods (DatabaseOptions::join_method) ---------------
 
 /// Forced hash join: the equality conjunct is consumed as the hash key and
 /// every node carries the cost model's `[est=N]` cardinality tag.  Both
 /// sides have 20 rows with 20 distinct ids, so est = 20*20/20 = 20.
 TEST_F(ExplainTest, HashJoinGolden) {
-  SetJoinMethodForTest(JoinMethod::kHash);
+  Open(JoinMethod::kHash);
   std::string desc = Explain("retrieve (h.id, i.amount) where h.id = i.id");
-  SetJoinMethodForTest(std::nullopt);
   EXPECT_EQ(desc,
             "project (h.id, i.amount)\n"
             "  hash-join key=(h.id = i.id) [est=20]\n"
@@ -172,9 +177,8 @@ TEST_F(ExplainTest, HashJoinGolden) {
 /// Forced interval join: the cross `overlap` conjunct becomes the sweep
 /// predicate; est = 0.5 * 20 * 20 = 200 (the coarse overlap selectivity).
 TEST_F(ExplainTest, IntervalJoinGolden) {
-  SetJoinMethodForTest(JoinMethod::kMerge);
+  Open(JoinMethod::kMerge);
   std::string desc = Explain("retrieve (h.id, i.id) when h overlap i");
-  SetJoinMethodForTest(std::nullopt);
   EXPECT_EQ(desc,
             "project (h.id, id_2 = i.id)\n"
             "  interval-join when=(h overlap i) [est=200]\n"
@@ -186,11 +190,10 @@ TEST_F(ExplainTest, IntervalJoinGolden) {
 /// restrictions sink into side filters, and the leftover cross conjunct
 /// lands on the join node's own filter clause.
 TEST_F(ExplainTest, HashJoinResidualGolden) {
-  SetJoinMethodForTest(JoinMethod::kHash);
+  Open(JoinMethod::kHash);
   std::string desc = Explain(
       "retrieve (h.id, i.amount) where h.id = i.id and h.amount > 35 "
       "and h.amount < i.amount + 140");
-  SetJoinMethodForTest(std::nullopt);
   EXPECT_EQ(desc,
             "project (h.id, i.amount)\n"
             "  hash-join key=(h.id = i.id) "
@@ -205,9 +208,8 @@ TEST_F(ExplainTest, HashJoinResidualGolden) {
 /// the fallback rendering matches paper mode byte-for-byte.
 TEST_F(ExplainTest, ForcedMethodFallsBackToPaperPlan) {
   std::string paper = Explain("retrieve (h.id, i.id)");
-  SetJoinMethodForTest(JoinMethod::kHash);
+  Open(JoinMethod::kHash);
   std::string forced = Explain("retrieve (h.id, i.id)");
-  SetJoinMethodForTest(std::nullopt);
   EXPECT_EQ(paper, forced);
 }
 
@@ -306,15 +308,19 @@ TEST(MaskTimesTest, NormalizesOnlyWallClock) {
   EXPECT_EQ(MaskTimes("no times here [rows=3]"), "no times here [rows=3]");
 }
 
-/// Same schema as ExplainTest but with metrics pinned on, so analyzed
-/// plans carry real wall-clock samples regardless of the environment the
-/// suite runs under.
+/// Same schema as ExplainTest; metrics are on (the default), so analyzed
+/// plans carry real wall-clock samples.
 class ExplainAnalyzeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::SetMetricsEnabledForTest(true);
+  void SetUp() override { Open(JoinMethod::kPaper); }
+
+  /// (Re)builds the fixture database planning joins with `method`.
+  void Open(JoinMethod method) {
+    db_.reset();
+    env_ = std::make_unique<MemEnv>();
     DatabaseOptions options;
-    options.env = &env_;
+    options.env = env_.get();
+    options.join_method = method;
     auto db = Database::Open("/db", options);
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
@@ -329,11 +335,6 @@ class ExplainAnalyzeTest : public ::testing::Test {
     Exec("modify hrel to hash on id where fillfactor = 100");
     Exec("range of h is hrel");
     Exec("range of i is irel");
-  }
-
-  void TearDown() override {
-    obs::SetMetricsEnabledForTest(std::nullopt);
-    SetJoinMethodForTest(std::nullopt);
   }
 
   void Exec(const std::string& text) {
@@ -351,7 +352,7 @@ class ExplainAnalyzeTest : public ::testing::Test {
     return tree;
   }
 
-  MemEnv env_;
+  std::unique_ptr<MemEnv> env_;
   std::unique_ptr<Database> db_;
 };
 
@@ -370,7 +371,7 @@ TEST_F(ExplainAnalyzeTest, KeyedLookupGolden) {
 /// model's `est=` next to the executed row counts.  20 ids join 1:1, and
 /// the estimate (20*20 / 20 distinct) agrees exactly on this uniform data.
 TEST_F(ExplainAnalyzeTest, HashJoinEstVsActualGolden) {
-  SetJoinMethodForTest(JoinMethod::kHash);
+  Open(JoinMethod::kHash);
   std::string tree =
       MaskTimes(Analyze("retrieve (h.id, i.amount) where h.id = i.id"));
   EXPECT_EQ(tree,
@@ -385,7 +386,7 @@ TEST_F(ExplainAnalyzeTest, HashJoinEstVsActualGolden) {
 }
 
 TEST_F(ExplainAnalyzeTest, IntervalJoinEstVsActual) {
-  SetJoinMethodForTest(JoinMethod::kMerge);
+  Open(JoinMethod::kMerge);
   std::string tree =
       MaskTimes(Analyze("retrieve (h.id, i.id) when h overlap i"));
   // All 20x20 version pairs coexist (no history rounds), so the sweep
@@ -429,9 +430,9 @@ TEST_F(ExplainAnalyzeTest, AnalyzeIsDeterministicWhenMetricsDisabled) {
   // With metrics off the executor takes no clock samples: wall times stay
   // zero, making `explain analyze` output fully deterministic (the
   // property that keeps figure stdout byte-identical under TDB_METRICS=0).
-  obs::SetMetricsEnabledForTest(false);
   DatabaseOptions options;
-  options.env = &env_;
+  options.env = env_.get();
+  options.metrics = false;
   auto db = Database::Open("/db", options);
   ASSERT_TRUE(db.ok());
   auto r = (*db)->Execute(

@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/database.h"
 #include "env/env.h"
 
 namespace tdb {
 namespace {
 
+// The structure is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put an address that changes from
+// run to run into every test's listed name.
 class IndexTest : public ::testing::TestWithParam<
-                      std::tuple<const char*, int>> {  // structure, levels
+                      std::tuple<std::string, int>> {  // structure, levels
  protected:
   void SetUp() override {
     DatabaseOptions options;
@@ -30,7 +36,7 @@ class IndexTest : public ::testing::TestWithParam<
     Exec("range of x is r");
   }
 
-  const char* Structure() const { return std::get<0>(GetParam()); }
+  const std::string& Structure() const { return std::get<0>(GetParam()); }
   int Levels() const { return std::get<1>(GetParam()); }
 
   void Exec(const std::string& text) {
@@ -67,7 +73,7 @@ TEST_P(IndexTest, ProbeIsCheaperThanScan) {
   // The relation has 4 data pages; a scan would read all of them.
   auto rel = db_->GetRelation("r");
   uint64_t scan_cost = (*rel)->primary()->page_count();
-  if (std::string(Structure()) == "hash") {
+  if (Structure() == "hash") {
     EXPECT_LT(with_index, scan_cost);
   } else {
     // A heap index scan may be comparable at this tiny size, but it must
@@ -107,7 +113,7 @@ TEST_P(IndexTest, IndexedAttributeChangeMovesEntry) {
 }
 
 TEST_P(IndexTest, CurrentOnlyProbeStaysCheapFor2Level) {
-  if (Levels() != 2 || std::string(Structure()) != "hash") GTEST_SKIP();
+  if (Levels() != 2 || Structure() != "hash") GTEST_SKIP();
   uint64_t base = MeasureReads(
       "retrieve (x.id) where x.amount = 1007 when x overlap \"now\"");
   for (int round = 0; round < 5; ++round) {
@@ -155,10 +161,11 @@ TEST_P(IndexTest, PersistsAcrossReopen) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, IndexTest,
-    ::testing::Combine(::testing::Values("heap", "hash"),
+    ::testing::Combine(::testing::Values(std::string("heap"),
+                                         std::string("hash")),
                        ::testing::Values(1, 2)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param)) + "level";
     });
 

@@ -38,10 +38,7 @@
 #include "catalog/catalog.h"
 #include "core/database.h"
 #include "env/env.h"
-#include "exec/compiled_expr.h"
 #include "exec/join_method.h"
-#include "exec/morsel.h"
-#include "exec/worker_pool.h"
 #include "util/random.h"
 #include "util/stringx.h"
 
@@ -78,25 +75,54 @@ std::string MaskTimes(const std::string& text) {
   return std::regex_replace(text, kTime, "time=*");
 }
 
+/// Opens the test database at /db on `env` under `options`, with the
+/// logical clock at `now` and the h/i range declarations every query here
+/// uses.  Null on failure.
+std::unique_ptr<Database> OpenAt(Env* env, DatabaseOptions options,
+                                 TimePoint now) {
+  options.env = env;
+  auto db = Database::Open("/db", options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return nullptr;
+  std::unique_ptr<Database> d = std::move(db).value();
+  d->SetNow(now);
+  auto ranges = d->ExecuteScript("range of h is hrel; range of i is irel");
+  EXPECT_TRUE(ranges.ok()) << ranges.status().ToString();
+  return ranges.ok() ? std::move(d) : nullptr;
+}
+
+/// A generated database, closed after the build: each engine configuration
+/// opens the same files again.
 struct Instance {
   std::unique_ptr<MemEnv> env;
-  std::unique_ptr<Database> db;
+  TimePoint now;  // the logical clock when the build finished
+
+  std::unique_ptr<Database> Open(JoinMethod method, bool vec,
+                                 int threads) const {
+    DatabaseOptions options;
+    options.join_method = method;
+    options.vector_exec = vec;
+    options.exec_threads = threads;
+    return OpenAt(env.get(), options, now);
+  }
 };
 
 /// Seeded database: the differential_test generator, join-focused — two
 /// interval relations with seed-dependent organizations and history rounds,
-/// so forced methods face keyed, ISAM, and heap sides alike.
+/// so forced methods face keyed, ISAM, and heap sides alike.  The env is
+/// null when the build fails.
 Instance MakeInstance(uint64_t seed) {
   Instance inst;
   inst.env = std::make_unique<MemEnv>();
   DatabaseOptions options;
   options.env = inst.env.get();
-  options.metrics = true;
   auto db = Database::Open("/db", options);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  if (!db.ok()) return inst;
-  inst.db = std::move(db).value();
-  Database* d = inst.db.get();
+  if (!db.ok()) {
+    inst.env.reset();
+    return inst;
+  }
+  Database* d = db->get();
 
   auto exec = [&](const std::string& text) {
     auto r = d->Execute(text);
@@ -146,6 +172,7 @@ Instance MakeInstance(uint64_t seed) {
     }
   }
   d->AdvanceSeconds(60);
+  inst.now = d->now();
   return inst;
 }
 
@@ -182,8 +209,7 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
   for (int seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     Instance inst = MakeInstance(seed);
-    ASSERT_NE(inst.db, nullptr);
-    Database* db = inst.db.get();
+    ASSERT_NE(inst.env, nullptr);
 
     Random qrng(seed * 0x9E3779B9ULL + 7);
     for (int qi = 0; qi < 6; ++qi) {
@@ -192,11 +218,11 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
       std::string baseline_sorted;  // paper-method row multiset
       for (JoinMethod method : kAllMethods) {
         SCOPED_TRACE(JoinMethodName(method));
-        SetJoinMethodForTest(method);
         std::vector<std::string> rows;     // per vec variant
         std::vector<std::string> analyze;  // per vec variant, times masked
         for (bool vec : {true, false}) {
-          SetVectorExecEnabledForTest(vec);
+          auto db = inst.Open(method, vec, /*threads=*/1);
+          ASSERT_NE(db, nullptr);
           auto r = db->Execute(text);
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           rows.push_back(r->result.ToString(TimeResolution::kSecond) +
@@ -209,7 +235,6 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
           }
           analyze.push_back(MaskTimes(tree));
         }
-        SetVectorExecEnabledForTest(std::nullopt);
         // Within one method the engines must agree exactly: same rows in
         // the same order, and the same per-node loops/rows/IoCounters in
         // the analyzed plan.
@@ -219,10 +244,10 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
         // its single-threaded run byte for byte — rows, row order, and the
         // analyzed per-node stats and IoCounters (the chunk-order merge and
         // frame-normalization contract of the parallel scan).
-        SetVectorExecEnabledForTest(true);
         for (int threads : {2, 4}) {
           SCOPED_TRACE(testing::Message() << threads << " threads");
-          SetExecThreadsForTest(threads);
+          auto db = inst.Open(method, /*vec=*/true, threads);
+          ASSERT_NE(db, nullptr);
           auto r = db->Execute(text);
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           EXPECT_EQ(rows[0],
@@ -236,8 +261,6 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
           }
           EXPECT_EQ(analyze[0], MaskTimes(tree));
         }
-        SetExecThreadsForTest(std::nullopt);
-        SetVectorExecEnabledForTest(std::nullopt);
         // Across methods only the multiset is pinned.
         std::string sorted = SortedLines(rows[0]);
         if (method == JoinMethod::kPaper) {
@@ -246,7 +269,6 @@ TEST(JoinMethodDifferentialTest, AllMethodsAgree) {
           EXPECT_EQ(baseline_sorted, sorted);
         }
       }
-      SetJoinMethodForTest(std::nullopt);
       ++queries_checked;
     }
   }
@@ -282,38 +304,39 @@ TEST(JoinMethodDifferentialTest, MethodsAgreeOnAllPaperDatabases) {
       ASSERT_TRUE((*db)->UniformUpdateRound().ok());
       ASSERT_TRUE((*db)->UniformUpdateRound().ok());
 
-      for (int qnum : {9, 10}) {
-        std::string text = (*db)->QueryText(qnum);
-        if (text.empty()) continue;
-        SCOPED_TRACE(testing::Message() << "Q" << qnum << ": " << text);
-        std::string& baseline = baselines[qnum];
-        for (JoinMethod method : kAllMethods) {
-          SCOPED_TRACE(JoinMethodName(method));
-          SetJoinMethodForTest(method);
-          // Threads axis: within one method the result must be byte-
-          // identical (same rows, same order) at 1, 2, and 4 executor
-          // threads under the vectorized engine — the parallel build,
-          // probe, and gather paths merge in chunk order by construction.
-          SetVectorExecEnabledForTest(true);
-          std::string exact_1thread;
-          for (int threads : {1, 2, 4}) {
-            SCOPED_TRACE(testing::Message() << threads << " threads");
-            SetExecThreadsForTest(threads);
+      for (JoinMethod method : kAllMethods) {
+        SCOPED_TRACE(JoinMethodName(method));
+        // Threads axis: within one method the result must be byte-
+        // identical (same rows, same order) at 1, 2, and 4 executor
+        // threads under the vectorized engine — the parallel build,
+        // probe, and gather paths merge in chunk order by construction.
+        std::map<int, std::string> exact_1thread;  // by query number
+        for (int threads : {1, 2, 4}) {
+          SCOPED_TRACE(testing::Message() << threads << " threads");
+          DatabaseOptions options;
+          options.join_method = method;
+          options.exec_threads = threads;
+          ASSERT_TRUE((*db)->Reopen(options).ok());
+          for (int qnum : {9, 10}) {
+            std::string text = (*db)->QueryText(qnum);
+            if (text.empty()) continue;
+            SCOPED_TRACE(testing::Message() << "Q" << qnum << ": " << text);
             auto r = (*db)->db()->Execute(text);
             ASSERT_TRUE(r.ok()) << r.status().ToString();
             std::string exact =
                 r->result.ToString(TimeResolution::kSecond) +
                 StrPrintf("(%zu rows)", r->result.num_rows());
             if (threads == 1) {
-              exact_1thread = exact;
+              exact_1thread[qnum] = exact;
             } else {
-              EXPECT_EQ(exact_1thread, exact);
+              EXPECT_EQ(exact_1thread[qnum], exact);
             }
           }
-          SetExecThreadsForTest(std::nullopt);
-          SetVectorExecEnabledForTest(std::nullopt);
-          SetJoinMethodForTest(std::nullopt);
-          std::string sorted = SortedLines(exact_1thread);
+        }
+        for (const auto& [qnum, exact] : exact_1thread) {
+          SCOPED_TRACE(testing::Message() << "Q" << qnum);
+          std::string sorted = SortedLines(exact);
+          std::string& baseline = baselines[qnum];
           if (baseline.empty()) {
             baseline = sorted;  // paper method at paper page size
           } else {
@@ -348,7 +371,15 @@ class StatsTest : public testing::Test {
     db_->AdvanceSeconds(60);
   }
 
-  void TearDown() override { SetJoinMethodForTest(std::nullopt); }
+  /// Opens the same files again planning joins with `method`.
+  void Reopen(JoinMethod method) {
+    const TimePoint now = db_->now();
+    db_.reset();
+    DatabaseOptions options;
+    options.join_method = method;
+    db_ = OpenAt(env_.get(), options, now);
+    ASSERT_NE(db_, nullptr);
+  }
 
   void Exec(const std::string& text) {
     auto r = db_->Execute(text);
@@ -386,7 +417,7 @@ TEST_F(StatsTest, StaleStatsChangePlansNotResults) {
 
   // Warm the cache under cost-based planning; the lazily profiled stats
   // must now be cached and exact.
-  SetJoinMethodForTest(JoinMethod::kAuto);
+  Reopen(JoinMethod::kAuto);
   EXPECT_EQ(Rows(q), paper_rows);
   const RelationStats* hs = db_->catalog()->FindStats("hrel");
   ASSERT_NE(hs, nullptr);
@@ -420,7 +451,7 @@ TEST_F(StatsTest, StaleStatsChangePlansNotResults) {
 }
 
 TEST_F(StatsTest, DmlInvalidatesStats) {
-  SetJoinMethodForTest(JoinMethod::kAuto);
+  Reopen(JoinMethod::kAuto);
   Exec("retrieve (h.id, i.amount) where h.id = i.id");
   ASSERT_NE(db_->catalog()->FindStats("hrel"), nullptr);
   ASSERT_NE(db_->catalog()->FindStats("irel"), nullptr);

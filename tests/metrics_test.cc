@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,17 +29,6 @@ using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 using obs::TraceEvent;
 using obs::TraceSink;
-
-/// Scoped override of the TDB_METRICS default, so these tests behave the
-/// same whether the suite runs with metrics on (default) or off (CI
-/// sanitizer sweeps).
-class ScopedMetricsEnabled {
- public:
-  explicit ScopedMetricsEnabled(bool enabled) {
-    obs::SetMetricsEnabledForTest(enabled);
-  }
-  ~ScopedMetricsEnabled() { obs::SetMetricsEnabledForTest(std::nullopt); }
-};
 
 // --- Primitives ---------------------------------------------------------
 
@@ -202,17 +192,30 @@ TEST(DatabaseMetricsTest, DisabledRegistryIsNeverWired) {
 }
 
 TEST(DatabaseMetricsTest, EnvDefaultRespectsOverride) {
-  ScopedMetricsEnabled off(false);
+  // TDB_METRICS=0 reaches a database only through DatabaseOptions::FromEnv;
+  // a database opened with its own options keeps the default (on).
+  const char* saved = std::getenv("TDB_METRICS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TDB_METRICS", "0", 1);
   MemEnv env;
+  DatabaseOptions from_env = DatabaseOptions::FromEnv();
+  from_env.env = &env;
+  auto off = Database::Open("/off", from_env);
   DatabaseOptions options;
-  options.env = &env;  // options.metrics left unset -> follows the default
-  auto db = Database::Open("/db", options);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->metrics(), nullptr);
+  options.env = &env;
+  auto on = Database::Open("/on", options);
+  if (saved != nullptr) {
+    ::setenv("TDB_METRICS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TDB_METRICS");
+  }
+  ASSERT_TRUE(off.ok());
+  ASSERT_TRUE(on.ok());
+  EXPECT_EQ((*off)->metrics(), nullptr);
+  EXPECT_NE((*on)->metrics(), nullptr);
 }
 
 TEST(DatabaseMetricsTest, StatementsAndTracesRecorded) {
-  ScopedMetricsEnabled on(true);
   MemEnv env;
   DatabaseOptions options;
   options.env = &env;
@@ -241,7 +244,6 @@ TEST(DatabaseMetricsTest, StatementsAndTracesRecorded) {
 }
 
 TEST(DatabaseMetricsTest, JournalCountersBalance) {
-  ScopedMetricsEnabled on(true);
   MemEnv env;
   DatabaseOptions options;
   options.env = &env;
@@ -264,7 +266,6 @@ TEST(DatabaseMetricsTest, JournalCountersBalance) {
 }
 
 TEST(DatabaseMetricsTest, SecondaryIndexProbesCounted) {
-  ScopedMetricsEnabled on(true);
   MemEnv env;
   DatabaseOptions options;
   options.env = &env;
@@ -316,7 +317,6 @@ void CheckPoolInvariants(const MetricsSnapshot& snap) {
 }
 
 TEST(MetricsInvariantsTest, BufferPoolBalancesAcrossAWorkload) {
-  ScopedMetricsEnabled on(true);
   bench::WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
@@ -352,7 +352,6 @@ uint64_t MissesForQuery(bench::BenchmarkDb* bench, int qnum) {
 }
 
 TEST(MetricsExactCountTest, TemporalQ01AndQ07MatchGoldenPageModel) {
-  ScopedMetricsEnabled on(true);
   bench::WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.fillfactor = 100;
@@ -367,7 +366,6 @@ TEST(MetricsExactCountTest, TemporalQ01AndQ07MatchGoldenPageModel) {
 // --- explain analyze across all twelve benchmark queries -----------------
 
 TEST(ExplainAnalyzeAcceptanceTest, AllTwelveQueriesCarryRowsAndTime) {
-  ScopedMetricsEnabled on(true);
   bench::WorkloadConfig config;
   config.type = DbType::kTemporal;
   config.ntuples = 64;

@@ -8,10 +8,9 @@
 // deliberate storage/planner change moves the modeled counts, never to
 // absorb an accidental executor regression.
 //
-// The test also exercises both evaluation modes: the compiled-expression
-// path (default) and, in a second pass within the same process, nothing
-// further — the AST fallback is covered by running the suite with
-// TDB_COMPILED_EXPR=0 (the sanitizer CI job does this for fig07).
+// The test runs the compiled-expression path (the default).  The AST
+// fallback's page counts are covered by fig07 under TDB_COMPILED_EXPR=0,
+// whose stdout the sanitizer CI job compares with the compiled run.
 
 #include <gtest/gtest.h>
 

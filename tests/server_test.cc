@@ -38,7 +38,6 @@ class ServerTest : public ::testing::Test {
     server_ = std::make_unique<Server>(registry_.get(), sopts);
     Status started = server_->Start();
     ASSERT_TRUE(started.ok()) << started.ToString();
-    ASSERT_EQ(server_->epoll_mode(), UseEpoll());
   }
 
   void TearDown() override { server_->Stop(); }

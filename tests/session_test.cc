@@ -1,8 +1,8 @@
-// Tests of the session layer and the consolidated options chain:
+// Tests of the session layer and of engine configuration:
 //
-//   * DatabaseOptions::FromEnv — the single place TDB_* levers are read;
-//   * precedence — DatabaseOptions beats the environment, SessionOptions
-//     beats DatabaseOptions (observed through session behavior);
+//   * DatabaseOptions::FromEnv — the one reader of the TDB_* levers;
+//   * options fixed at Open — changing the environment afterwards changes
+//     neither plans, plan-cache keys nor rows;
 //   * Session as client state — own range declarations, own temp files,
 //     pinned as-of snapshots, and mutating statements that always stamp
 //     the live clock;
@@ -19,9 +19,8 @@
 #include <string>
 
 #include "core/database.h"
+#include "core/plan_cache.h"
 #include "env/env.h"
-#include "exec/morsel.h"
-#include "exec/worker_pool.h"
 
 namespace tdb {
 namespace {
@@ -47,53 +46,106 @@ class EnvVarGuard {
   std::optional<std::string> saved_;
 };
 
+/// Clears every lever FromEnv reads for the lifetime of the guard.
+struct AllLeversGuard {
+  EnvVarGuard g1{"TDB_METRICS"}, g2{"TDB_JOIN_METHOD"};
+  EnvVarGuard g3{"TDB_VECTOR_EXEC"}, g4{"TDB_MORSEL_CAP"};
+  EnvVarGuard g5{"TDB_EXEC_THREADS"}, g6{"TDB_COMPILED_EXPR"};
+  EnvVarGuard g7{"TDB_PAGE_SIZE"}, g8{"TDB_PAGE_CHECKSUM"};
+  EnvVarGuard g9{"TDB_POOL_FRAMES"}, g10{"TDB_POOL_FILE_CAP"};
+  EnvVarGuard g11{"TDB_VACUUM_PARTITION"}, g12{"TDB_PLAN_CACHE"};
+};
+
 TEST(FromEnvTest, AbsentVariablesLeaveEveryFieldUnset) {
-  EnvVarGuard g1("TDB_VECTOR_EXEC"), g2("TDB_MORSEL_CAP");
-  EnvVarGuard g3("TDB_EXEC_THREADS"), g4("TDB_JOIN_METHOD");
-  EnvVarGuard g5("TDB_COMPILED_EXPR"), g6("TDB_METRICS");
-  DatabaseOptions o = DatabaseOptions::FromEnv();
-  EXPECT_FALSE(o.vector_exec.has_value());
-  EXPECT_EQ(o.morsel_capacity, 0);
-  EXPECT_EQ(o.exec_threads, 0);
-  EXPECT_FALSE(o.join_method.has_value());
-  EXPECT_FALSE(o.compiled_expr.has_value());
-  EXPECT_FALSE(o.metrics.has_value());
+  AllLeversGuard guard;
+  const DatabaseOptions o = DatabaseOptions::FromEnv();
+  const DatabaseOptions d;
+  EXPECT_EQ(o.metrics, d.metrics);
+  EXPECT_EQ(o.join_method, d.join_method);
+  EXPECT_EQ(o.vector_exec, d.vector_exec);
+  EXPECT_EQ(o.morsel_capacity, d.morsel_capacity);
+  EXPECT_EQ(o.exec_threads, d.exec_threads);
+  EXPECT_EQ(o.compiled_expr, d.compiled_expr);
+  EXPECT_EQ(o.page_size, d.page_size);
+  EXPECT_EQ(o.page_checksum, d.page_checksum);
+  EXPECT_EQ(o.pool_frames, d.pool_frames);
+  EXPECT_EQ(o.pool_file_cap, d.pool_file_cap);
+  EXPECT_EQ(o.vacuum_partition, d.vacuum_partition);
+  EXPECT_EQ(o.plan_cache, d.plan_cache);
 }
 
 TEST(FromEnvTest, ReadsEveryLever) {
-  EnvVarGuard g1("TDB_VECTOR_EXEC"), g2("TDB_MORSEL_CAP");
-  EnvVarGuard g3("TDB_EXEC_THREADS"), g4("TDB_JOIN_METHOD");
-  EnvVarGuard g5("TDB_COMPILED_EXPR"), g6("TDB_METRICS");
+  AllLeversGuard guard;
+  ::setenv("TDB_METRICS", "0", 1);
+  ::setenv("TDB_JOIN_METHOD", "cost", 1);
   ::setenv("TDB_VECTOR_EXEC", "0", 1);
   ::setenv("TDB_MORSEL_CAP", "256", 1);
   ::setenv("TDB_EXEC_THREADS", "4", 1);
-  ::setenv("TDB_JOIN_METHOD", "cost", 1);
-  ::setenv("TDB_COMPILED_EXPR", "1", 1);
-  ::setenv("TDB_METRICS", "0", 1);
-  DatabaseOptions o = DatabaseOptions::FromEnv();
-  EXPECT_EQ(o.vector_exec, std::optional<bool>(false));
+  ::setenv("TDB_COMPILED_EXPR", "0", 1);
+  ::setenv("TDB_PAGE_SIZE", "4096", 1);
+  ::setenv("TDB_PAGE_CHECKSUM", "1", 1);
+  ::setenv("TDB_POOL_FRAMES", "64", 1);
+  ::setenv("TDB_POOL_FILE_CAP", "-1", 1);
+  ::setenv("TDB_VACUUM_PARTITION", "epoch:60", 1);
+  ::setenv("TDB_PLAN_CACHE", "1", 1);
+  const DatabaseOptions o = DatabaseOptions::FromEnv();
+  EXPECT_FALSE(o.metrics);
+  EXPECT_EQ(o.join_method, JoinMethod::kAuto);
+  EXPECT_FALSE(o.vector_exec);
   EXPECT_EQ(o.morsel_capacity, 256);
   EXPECT_EQ(o.exec_threads, 4);
-  ASSERT_TRUE(o.join_method.has_value());
-  EXPECT_EQ(*o.join_method, JoinMethod::kAuto);
-  EXPECT_EQ(o.compiled_expr, std::optional<bool>(true));
-  EXPECT_EQ(o.metrics, std::optional<bool>(false));
+  EXPECT_FALSE(o.compiled_expr);
+  EXPECT_EQ(o.page_size, 4096u);
+  EXPECT_TRUE(o.page_checksum);
+  EXPECT_EQ(o.pool_frames, 64);
+  EXPECT_EQ(o.pool_file_cap, -1);
+  EXPECT_EQ(o.vacuum_partition, "epoch:60");
+  EXPECT_TRUE(o.plan_cache);
 }
 
-TEST(FromEnvTest, DatabaseOptionsBeatTheEnvironment) {
-  EnvVarGuard g1("TDB_VECTOR_EXEC"), g2("TDB_MORSEL_CAP");
-  EnvVarGuard g3("TDB_EXEC_THREADS");
-  ::setenv("TDB_VECTOR_EXEC", "1", 1);
-  ::setenv("TDB_MORSEL_CAP", "256", 1);
-  ::setenv("TDB_EXEC_THREADS", "8", 1);
-  // An explicit per-database option wins over the environment...
-  EXPECT_FALSE(ResolveVectorExec(std::optional<bool>(false)));
-  EXPECT_EQ(ResolveMorselCapacity(32), 32u);
-  EXPECT_EQ(ResolveExecThreads(2), 2);
-  // ...and the unset value falls through to it.
-  EXPECT_TRUE(ResolveVectorExec(std::nullopt));
-  EXPECT_EQ(ResolveMorselCapacity(0), 256u);
-  EXPECT_EQ(ResolveExecThreads(0), 8);
+// Database::Open fixes the configuration: a lever set in the environment
+// after Open reaches neither the planner, the plan-cache key, nor the
+// executor of that database.
+TEST(FromEnvTest, OptionsAreFixedAtOpen) {
+  AllLeversGuard guard;
+  MemEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.plan_cache = true;
+  auto opened = Database::Open("/fixed", options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  ASSERT_TRUE(db->ExecuteScript("create r (id = i4, v = i4);"
+                                "create s (id = i4, w = i4);"
+                                "append to r (id = 1, v = 10);"
+                                "append to r (id = 2, v = 20);"
+                                "append to s (id = 2, w = 200);"
+                                "append to s (id = 1, w = 100);"
+                                "range of r is r;"
+                                "range of s is s")
+                  .ok());
+  const std::string query = "retrieve (r.v, s.w) where r.id = s.id";
+  auto observe = [&] {
+    auto plan = db->Explain(query);
+    auto rows = db->Query(query);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return (plan.ok() ? *plan : "") + "\n" +
+           (rows.ok() ? rows->ToString(TimeResolution::kSecond) : "");
+  };
+
+  GlobalPlanCache().Clear();
+  const std::string before = observe();
+  const uint64_t hits = GlobalPlanCache().hits();
+  const uint64_t misses = GlobalPlanCache().misses();
+  ::setenv("TDB_JOIN_METHOD", "hash", 1);
+  ::setenv("TDB_VECTOR_EXEC", "0", 1);
+  ::setenv("TDB_COMPILED_EXPR", "0", 1);
+  EXPECT_EQ(observe(), before);
+  // Same plan-cache key: the second execution hits the first's entry.
+  EXPECT_EQ(GlobalPlanCache().misses(), misses);
+  EXPECT_EQ(GlobalPlanCache().hits(), hits + 1);
+  GlobalPlanCache().Clear();
 }
 
 class SessionTest : public ::testing::Test {
@@ -182,33 +234,6 @@ TEST_F(SessionTest, DdlInOneSessionInvalidatesOthers) {
   // survive into its next statement.
   ASSERT_TRUE(s1->Execute("modify emp to hash on sal").ok());
   EXPECT_EQ(Count(s2.get(), "e"), 1);
-}
-
-TEST_F(SessionTest, PerSessionExecOptionsAreHonored) {
-  ASSERT_TRUE(db_->ExecuteScript("create emp (sal = i4);"
-                                 "range of e is emp;"
-                                 "append to emp (sal = 7)")
-                  .ok());
-  // Same statement, one session vectorized and one tuple-at-a-time, one
-  // session single-threaded and one with a worker pool: results must be
-  // identical, which is only interesting if the options actually reach
-  // the executor (covered structurally by MakeExecEnv resolving
-  // session > database > environment for every knob).
-  SessionOptions tuple_opts;
-  tuple_opts.vector_exec = false;
-  tuple_opts.exec_threads = 1;
-  SessionOptions vector_opts;
-  vector_opts.vector_exec = true;
-  vector_opts.exec_threads = 2;
-  vector_opts.morsel_capacity = 4;
-  auto s1 = db_->CreateSession(tuple_opts);
-  auto s2 = db_->CreateSession(vector_opts);
-  ASSERT_TRUE(s1->Execute("range of e is emp").ok());
-  ASSERT_TRUE(s2->Execute("range of e is emp").ok());
-  EXPECT_EQ(Count(s1.get(), "e"), 1);
-  EXPECT_EQ(Count(s2.get(), "e"), 1);
-  EXPECT_EQ(s1->options().vector_exec, std::optional<bool>(false));
-  EXPECT_EQ(s2->options().morsel_capacity, 4);
 }
 
 TEST_F(SessionTest, ErrorsCarryStatementContextThroughSessions) {

@@ -24,7 +24,6 @@
 #include "exec/eval.h"
 #include "exec/morsel.h"
 #include "exec/version.h"
-#include "exec/worker_pool.h"
 #include "storage/heap_file.h"
 #include "storage/io_stats.h"
 #include "storage_test_util.h"
@@ -264,14 +263,16 @@ struct EngineRun {
 
 EngineRun RunOnce(bench::BenchmarkDb* db, int qnum, bool vectorized) {
   EngineRun run;
-  SetVectorExecEnabledForTest(vectorized);
+  DatabaseOptions options;
+  options.vector_exec = vectorized;
+  Status reopened = db->Reopen(options);
+  EXPECT_TRUE(reopened.ok()) << reopened.ToString();
   auto m = db->RunQuery(qnum);
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   if (m.ok()) run.measure = *std::move(m);
   auto r = db->db()->Execute(db->QueryText(qnum));
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (r.ok()) run.rows = r->result.ToString(TimeResolution::kSecond);
-  SetVectorExecEnabledForTest(std::nullopt);
   return run;
 }
 
@@ -364,21 +365,22 @@ TEST(VectorExecDifferentialTest, ThreadCountsAgreeOnAllPaperDatabases) {
       ASSERT_TRUE((*db)->UniformUpdateRound().ok());
       ASSERT_TRUE((*db)->UniformUpdateRound().ok());
 
-      SetVectorExecEnabledForTest(true);
       for (int qnum = 1; qnum <= 12; ++qnum) {
         std::string text = (*db)->QueryText(qnum);
         if (text.empty()) continue;
         SCOPED_TRACE(testing::Message() << "Q" << qnum);
-        // Warm-up run: the single-frame pagers keep their last page
-        // resident across queries, so the first execution after a reset
-        // can pay a cold read the repeats do not.  One unmeasured run
-        // (at the default single thread) pins the resident state; every
-        // measured run then starts from the same frames.
-        ASSERT_TRUE((*db)->db()->Execute(text).ok());
         std::string base_rows, base_io;
         for (int threads : {1, 2, 4}) {
           SCOPED_TRACE(testing::Message() << threads << " threads");
-          SetExecThreadsForTest(threads);
+          DatabaseOptions options;
+          options.exec_threads = threads;
+          ASSERT_TRUE((*db)->Reopen(options).ok());
+          // Warm-up run: the single-frame pagers keep their last page
+          // resident across queries, so the first execution after a reset
+          // can pay a cold read the repeats do not.  One unmeasured run
+          // pins the resident state; every measured run then starts from
+          // the same frames.
+          ASSERT_TRUE((*db)->db()->Execute(text).ok());
           (*db)->db()->io()->ResetAll();
           auto r = (*db)->db()->Execute(text);
           ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -394,9 +396,7 @@ TEST(VectorExecDifferentialTest, ThreadCountsAgreeOnAllPaperDatabases) {
             EXPECT_EQ(io, base_io);
           }
         }
-        SetExecThreadsForTest(std::nullopt);
       }
-      SetVectorExecEnabledForTest(std::nullopt);
     }
   }
 }

@@ -3,8 +3,9 @@
 //   * WorkerPool — the id contract (body(id) exactly once per id in
 //     [0, n)), the inline single-worker path, and the nested-Run fallback
 //     that keeps correctness independent of helper availability;
-//   * ResolveExecThreads — the full precedence chain (test override >
-//     per-database option > TDB_EXEC_THREADS > 1) and the [1, 64] clamp;
+//   * ResolveExecThreads — the [1, 64] clamp Database::Open applies to
+//     DatabaseOptions::exec_threads, whether the value came from code or
+//     from TDB_EXEC_THREADS through DatabaseOptions::FromEnv;
 //   * CutScanChunks — page-range tiling of linear-scan stores in the
 //     serial visit order, the cursor fallback for directory-bearing
 //     organizations, empty-store skipping, and history-after-primary
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <cstdlib>
 #include <memory>
 #include <regex>
@@ -29,7 +31,6 @@
 
 #include "core/database.h"
 #include "env/env.h"
-#include "exec/morsel.h"
 #include "exec/version_source.h"
 #include "storage/io_stats.h"
 #include "util/stringx.h"
@@ -92,7 +93,7 @@ TEST(WorkerPoolTest, RepeatedRunsKeepTheContract) {
   }
 }
 
-// ---- ResolveExecThreads: precedence and clamping ----
+// ---- ResolveExecThreads: clamping ----
 
 class ResolveExecThreadsTest : public ::testing::Test {
  protected:
@@ -100,7 +101,6 @@ class ResolveExecThreadsTest : public ::testing::Test {
     const char* env = std::getenv("TDB_EXEC_THREADS");
     if (env != nullptr) saved_env_ = env;
     ::unsetenv("TDB_EXEC_THREADS");
-    SetExecThreadsForTest(std::nullopt);
   }
   void TearDown() override {
     if (saved_env_.has_value()) {
@@ -108,49 +108,40 @@ class ResolveExecThreadsTest : public ::testing::Test {
     } else {
       ::unsetenv("TDB_EXEC_THREADS");
     }
-    SetExecThreadsForTest(std::nullopt);
   }
   std::optional<std::string> saved_env_;
 };
 
 TEST_F(ResolveExecThreadsTest, DefaultIsSingleThreaded) {
+  EXPECT_EQ(ResolveExecThreads(DatabaseOptions{}.exec_threads), 1);
   EXPECT_EQ(ResolveExecThreads(0), 1);
-  EXPECT_EQ(ResolveExecThreads(-3), 1);  // non-positive option = unset
+  EXPECT_EQ(ResolveExecThreads(-3), 1);
 }
 
 TEST_F(ResolveExecThreadsTest, EnvParsesAndClamps) {
+  auto from_env = [] {
+    return ResolveExecThreads(DatabaseOptions::FromEnv().exec_threads);
+  };
   ::setenv("TDB_EXEC_THREADS", "3", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 3);
+  EXPECT_EQ(from_env(), 3);
   ::setenv("TDB_EXEC_THREADS", "100", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 64);
+  EXPECT_EQ(from_env(), 64);
   ::setenv("TDB_EXEC_THREADS", "0", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 1);
+  EXPECT_EQ(from_env(), 1);
   ::setenv("TDB_EXEC_THREADS", "-5", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 1);
+  EXPECT_EQ(from_env(), 1);
   // Malformed values are ignored, not clamped.
   ::setenv("TDB_EXEC_THREADS", "abc", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 1);
+  EXPECT_EQ(from_env(), 1);
   ::setenv("TDB_EXEC_THREADS", "7x", 1);
-  EXPECT_EQ(ResolveExecThreads(0), 1);
+  EXPECT_EQ(from_env(), 1);
 }
 
 TEST_F(ResolveExecThreadsTest, OptionBeatsEnv) {
   ::setenv("TDB_EXEC_THREADS", "3", 1);
   EXPECT_EQ(ResolveExecThreads(2), 2);
-  EXPECT_EQ(ResolveExecThreads(100), 64);  // option is clamped too
-  EXPECT_EQ(ResolveExecThreads(0), 3);     // unset option falls to env
-}
-
-TEST_F(ResolveExecThreadsTest, TestOverrideBeatsEverything) {
-  ::setenv("TDB_EXEC_THREADS", "3", 1);
-  SetExecThreadsForTest(5);
-  EXPECT_EQ(ResolveExecThreads(2), 5);
-  SetExecThreadsForTest(999);
-  EXPECT_EQ(ResolveExecThreads(2), 64);
-  SetExecThreadsForTest(0);
-  EXPECT_EQ(ResolveExecThreads(2), 1);
-  SetExecThreadsForTest(std::nullopt);
-  EXPECT_EQ(ResolveExecThreads(2), 2);  // restored
+  EXPECT_EQ(ResolveExecThreads(100), 64);  // the option is clamped
+  EXPECT_EQ(ResolveExecThreads(0), 1);     // the environment is not read
 }
 
 // ---- CutScanChunks: the dispatch units of a parallel scan ----
@@ -301,9 +292,14 @@ std::string CountersString(Database* db) {
 
 class ThreadDeterminismTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  /// Opens a fresh skewed database whose executor runs `threads` threads,
+  /// replacing the previous one.
+  void Open(int threads) {
+    db_.reset();
+    env_ = std::make_unique<MemEnv>();
     DatabaseOptions options;
-    options.env = &env_;
+    options.env = env_.get();
+    options.exec_threads = threads;
     auto db = Database::Open("/db", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
@@ -324,11 +320,6 @@ class ThreadDeterminismTest : public ::testing::Test {
       Exec(StrPrintf("append to tiny (id = %d, v = %d)", i * 100, i));
     }
     db_->AdvanceSeconds(60);
-  }
-
-  void TearDown() override {
-    SetExecThreadsForTest(std::nullopt);
-    SetVectorExecEnabledForTest(std::nullopt);
   }
 
   void Exec(const std::string& text) {
@@ -355,7 +346,7 @@ class ThreadDeterminismTest : public ::testing::Test {
     return MaskTimes(blob);
   }
 
-  MemEnv env_;
+  std::unique_ptr<MemEnv> env_;
   std::unique_ptr<Database> db_;
 };
 
@@ -367,42 +358,40 @@ TEST_F(ThreadDeterminismTest, SkewedScansAreIdenticalAtEveryThreadCount) {
       "retrieve (e.id)",                        // zero chunks
       "retrieve (g.id, t.v) where g.id = t.id"  // giant x tiny join
   };
-  SetVectorExecEnabledForTest(true);
-  for (const std::string& q : queries) {
-    SCOPED_TRACE(q);
-    // Warm-up pins the single-frame pagers' resident pages so every
-    // measured run starts from the same buffer state.
-    ASSERT_TRUE(db_->Execute(q).ok());
-    std::string base;
-    for (int threads : {1, 2, 4, 8}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads");
-      SetExecThreadsForTest(threads);
-      std::string blob = Observe(q);
+  std::vector<std::string> base;
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    Open(threads);
+    for (size_t i = 0; i < std::size(queries); ++i) {
+      SCOPED_TRACE(queries[i]);
+      // Warm-up pins the single-frame pagers' resident pages so every
+      // measured run starts from the same buffer state.
+      ASSERT_TRUE(db_->Execute(queries[i]).ok());
+      std::string blob = Observe(queries[i]);
       if (threads == 1) {
-        base = blob;
+        base.push_back(blob);
       } else {
-        EXPECT_EQ(blob, base);
+        EXPECT_EQ(blob, base[i]);
       }
     }
-    SetExecThreadsForTest(std::nullopt);
   }
 }
 
 TEST_F(ThreadDeterminismTest, UpdatesAndHistoryStayDeterministic) {
-  // Pile history versions onto the giant relation, then sweep again: the
-  // history pages multiply the chunk count and every version qualifies.
-  for (int round = 0; round < 2; ++round) {
-    db_->AdvanceSeconds(1000);
-    Exec("replace g (v = g.v + 1) where g.id < 150");
-  }
-  db_->AdvanceSeconds(60);
-  SetVectorExecEnabledForTest(true);
-  ASSERT_TRUE(db_->Execute("retrieve (g.id, g.v) where g.v < 9").ok());
+  const std::string query = "retrieve (g.id, g.v) where g.v < 9";
   std::string base;
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
-    SetExecThreadsForTest(threads);
-    std::string blob = Observe("retrieve (g.id, g.v) where g.v < 9");
+    Open(threads);
+    // Pile history versions onto the giant relation, then sweep: the
+    // history pages multiply the chunk count and every version qualifies.
+    for (int round = 0; round < 2; ++round) {
+      db_->AdvanceSeconds(1000);
+      Exec("replace g (v = g.v + 1) where g.id < 150");
+    }
+    db_->AdvanceSeconds(60);
+    ASSERT_TRUE(db_->Execute(query).ok());
+    std::string blob = Observe(query);
     if (threads == 1) {
       base = blob;
     } else {
