@@ -133,9 +133,10 @@ class Catalog {
   void InvalidateStats(const std::string& name);
   void InvalidateAllStats();
 
- private:
+  /// The catalog file, written by the first DDL statement.
   std::string CatalogPath() const { return dir_ + "/catalog.meta"; }
 
+ private:
   Env* env_;
   std::string dir_;
   Journal* journal_ = nullptr;

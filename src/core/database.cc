@@ -53,11 +53,14 @@ Status Database::ResolveExecEnv() {
   uint32_t page_size = options_.page_size;
   bool checksum = options_.page_checksum;
 
-  // The on-disk layout is fixed when the database is first created: a
-  // `storage` meta file in the directory records it and is authoritative
-  // on reopen, whatever the caller asks for this run.
+  // The on-disk layout is fixed when the database is created: a `storage`
+  // meta file in the directory records a non-paper layout and is
+  // authoritative on reopen, and a database created without one keeps the
+  // paper layout — whatever the caller asks for this run.
   const std::string meta_path = dir_ + "/storage";
-  if (env_->FileExists(meta_path)) {
+  const bool meta_exists = env_->FileExists(meta_path);
+  const bool existing = env_->FileExists(catalog_.CatalogPath());
+  if (meta_exists) {
     TDB_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(meta_path));
     for (const std::string& raw : Split(text, '\n')) {
       std::string line = Trim(raw);
@@ -79,15 +82,19 @@ Status Database::ResolveExecEnv() {
         return Status::Corruption("unknown storage meta tag: " + tag);
       }
     }
-  } else if (page_size != kPageSize || checksum) {
-    // A non-paper layout must survive reopen; the pure-default layout
+  } else if (existing) {
+    page_size = kPageSize;
+    checksum = false;
+  }
+  if (page_size < 512 || page_size > 65536 || page_size % 256 != 0) {
+    return Status::Invalid(StrPrintf("page size %u out of range", page_size));
+  }
+  if (!meta_exists && !existing && (page_size != kPageSize || checksum)) {
+    // A new database with a non-paper layout records it; the paper layout
     // writes nothing, keeping paper-mode directories byte-identical.
     TDB_RETURN_NOT_OK(env_->WriteStringToFile(
         meta_path, StrPrintf("page_size %u\nchecksum %d\n", page_size,
                              checksum ? 1 : 0)));
-  }
-  if (page_size < 512 || page_size > 65536 || page_size % 256 != 0) {
-    return Status::Invalid(StrPrintf("page size %u out of range", page_size));
   }
 
   if (options_.pool_frames > 0) {
@@ -119,14 +126,14 @@ Status Database::ResolveExecEnv() {
 }
 
 std::unique_ptr<Session> Database::CreateSession(SessionOptions options) {
-  concurrent_.store(true, std::memory_order_release);
   const int id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<Session>(new Session(this, id, std::move(options)));
 }
 
 void Database::PersistClock() const {
   // clock_mu_ held across the file write so journal-off concurrent writers
-  // cannot tear the clock file.  Lock order: journal_mu_ -> clock_mu_.
+  // cannot tear the clock file.  Lock order: the journal's WriterLock ->
+  // clock_mu_.
   std::lock_guard<std::mutex> lock(clock_mu_);
   if (journal_ != nullptr) {
     (void)journal_->BeforeFileRewrite(ClockPath());

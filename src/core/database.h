@@ -74,12 +74,11 @@ struct DatabaseOptions {
   /// Compiled postfix expression programs; off evaluates every expression
   /// on the AST walker.  Identical results and page I/O either way.
   bool compiled_expr = true;
-  /// Group-commit window at kJournalSync: before the leader of a commit
-  /// group captures which marks its fsync covers, it waits this long so
-  /// concurrent committers can land their marks and share the fsync
-  /// (MySQL's binlog_group_commit_sync_delay plays the same role).  Only
-  /// the concurrent session path pays it — the embedded single-session
-  /// commit never waits.  0 disables the window.
+  /// Group-commit window at kJournalSync: when another writer holds or
+  /// awaits the journal's writer lock as the leader of a commit group is
+  /// about to fsync, the leader waits this long so that writer can land its
+  /// mark and share the fsync (MySQL's binlog_group_commit_sync_delay plays
+  /// the same role).  A lone writer never waits.  0 disables the window.
   int group_commit_window_micros = 200;
 
   // --- production storage mode ----------------------------------------
@@ -155,15 +154,12 @@ class Database {
   /// Convenience wrapper asserting the text is a single retrieve.
   Result<ResultSet> Query(const std::string& text);
 
-  /// Opens a new client session.  The first call switches the database
-  /// into concurrent mode: from then on every statement (including ones
-  /// through the embedded wrappers above) takes statement locks, read
-  /// statements pin an as-of snapshot, and journal commits group-batch.
-  /// Until then the embedded path runs exactly as the single-session
-  /// system did — no lock, mutex, or thread is ever touched.
-  ///
-  /// Sessions may execute concurrently from different threads (one thread
-  /// per session) and must be destroyed before the Database.
+  /// Opens a new client session.  It runs statements exactly as the
+  /// default session behind the wrappers above does: statement locks, a
+  /// pinned as-of snapshot for reads, group-committed journal batches for
+  /// writes.  Sessions may execute concurrently from different threads
+  /// (one statement at a time per session) and must be destroyed before
+  /// the Database.
   std::unique_ptr<Session> CreateSession(SessionOptions options = {});
 
   /// Plans `text` — a single retrieve, with or without a leading `explain`
@@ -239,11 +235,8 @@ class Database {
         metrics_(options.metrics),
         now_(options.start_time) {}
 
-  /// The live clock (reads pin their snapshot off this).
-  TimePoint NowSnapshot() const { return now(); }
-
-  /// Stamps a concurrent writer: returns the transaction time and advances
-  /// the clock atomically, so overlapping writers get distinct stamps.
+  /// Stamps a writer: returns the transaction time and advances the clock
+  /// atomically, so overlapping writers get distinct stamps.
   TimePoint AcquireTxTime();
 
   /// Fixes the engine configuration for the life of the database: reads
@@ -281,13 +274,9 @@ class Database {
   /// clock reading and scratch tag.
   ExecEnv exec_template_;
 
-  // --- concurrent mode (engaged by the first CreateSession) --------------
-  std::atomic<bool> concurrent_{false};
+  // --- statement concurrency (every session, the default one included) ---
   std::atomic<int> next_session_id_{1};
   LockTable lock_table_;
-  /// Serializes writer journal batches (Begin .. CommitGroup); the
-  /// commit-mark fsync runs outside it via Journal::WaitDurable.
-  std::mutex journal_mu_;
   mutable std::mutex clock_mu_;
   /// Cross-session cache invalidation: a writer bumps its target
   /// relations' versions (and DDL the catalog generation) at commit, and

@@ -21,9 +21,8 @@ namespace tdb {
 /// all proceed in parallel.  Logical snapshot isolation on top of this
 /// comes from the temporal model itself: each read statement pins an
 /// `as of` transaction timestamp, so committed-later versions are filtered
-/// even after the locks are gone.
-///
-/// The embedded single-session path never touches this class.
+/// even after the locks are gone.  A Database used alone takes the same
+/// locks through its default session, uncontended.
 class LockTable {
  public:
   /// The relation lock for `name` (case-insensitive), created on first use

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -319,12 +320,6 @@ Status Session::DropAllBuffers() {
 
 Result<std::vector<ExecResult>> Session::ExecuteScript(
     const std::string& text) {
-  const bool concurrent = db_->concurrent_.load(std::memory_order_acquire);
-  if (!concurrent) {
-    // One-writer-per-Env rule (see IoRegistry): an embedded Database, its
-    // registry, and its logical clock belong to a single thread.
-    registry_.CheckOwnerThread();
-  }
   TDB_ASSIGN_OR_RETURN(auto stmts, Parser::ParseScript(text));
   if (stmts.empty()) return Status::ParseError("empty statement");
   if (obs::MetricsRegistry* m = db_->metrics()) {
@@ -347,36 +342,18 @@ Result<std::vector<ExecResult>> Session::ExecuteScript(
 }
 
 Result<ExecResult> Session::ExecuteOne(Statement* stmt) {
-  const bool concurrent = db_->concurrent_.load(std::memory_order_acquire);
-  Journal* journal = db_->journal_.get();
-  if (!concurrent && journal != nullptr) {
-    TDB_RETURN_NOT_OK(journal->Begin());
-  }
-  Result<ExecResult> result = ExecResult{};
-  if (obs::MetricsRegistry* m = db_->metrics()) {
-    obs::TraceSpan span(m, "db.statement");
-    auto start = std::chrono::steady_clock::now();
-    result = concurrent ? ExecuteStatementConcurrent(stmt)
-                        : ExecuteStatementEmbedded(stmt);
-    m->counter("db.statements")->Increment();
-    m->histogram("db.statement_nanos")
-        ->Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-  } else {
-    result = concurrent ? ExecuteStatementConcurrent(stmt)
-                        : ExecuteStatementEmbedded(stmt);
-  }
-  if (!concurrent && journal != nullptr) {
-    if (result.ok()) {
-      Status commit = CommitStatementEmbedded();
-      if (!commit.ok()) result = commit;
-    }
-    if (!result.ok()) {
-      TDB_RETURN_NOT_OK(RollbackStatementEmbedded());
-    }
-  }
+  IoRegistry::StatementScope scope(&registry_);
+  obs::MetricsRegistry* m = db_->metrics();
+  if (m == nullptr) return ExecuteStatement(stmt);
+  obs::TraceSpan span(m, "db.statement");
+  auto start = std::chrono::steady_clock::now();
+  Result<ExecResult> result = ExecuteStatement(stmt);
+  m->counter("db.statements")->Increment();
+  m->histogram("db.statement_nanos")
+      ->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
   return result;
 }
 
@@ -390,8 +367,7 @@ Result<ResultSet> Session::Query(const std::string& text) {
   return r.result;
 }
 
-Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
-                                         bool* data_mutating) {
+Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec) {
   Binder binder(&db_->catalog_, &ranges_);
   ExecResult last;
   switch (stmt->kind) {
@@ -418,7 +394,6 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
       TDB_ASSIGN_OR_RETURN(BoundStatement bound, binder.BindAppend(append));
       DmlExecutor dml(exec);
       TDB_ASSIGN_OR_RETURN(last, dml.Append(append, bound));
-      *data_mutating = true;
       break;
     }
     case Statement::Kind::kDelete: {
@@ -426,7 +401,6 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
       TDB_ASSIGN_OR_RETURN(BoundStatement bound, binder.BindDelete(del));
       DmlExecutor dml(exec);
       TDB_ASSIGN_OR_RETURN(last, dml.Delete(del, bound));
-      *data_mutating = true;
       break;
     }
     case Statement::Kind::kReplace: {
@@ -435,7 +409,6 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
                            binder.BindReplace(replace));
       DmlExecutor dml(exec);
       TDB_ASSIGN_OR_RETURN(last, dml.Replace(replace, bound));
-      *data_mutating = true;
       break;
     }
     case Statement::Kind::kCreate: {
@@ -475,10 +448,8 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
       break;
     }
     case Statement::Kind::kCopy: {
-      auto* copy = static_cast<CopyStmt*>(stmt);
       DdlExecutor ddl(exec);
-      TDB_ASSIGN_OR_RETURN(last, ddl.Copy(*copy));
-      *data_mutating = copy->from;
+      TDB_ASSIGN_OR_RETURN(last, ddl.Copy(*static_cast<CopyStmt*>(stmt)));
       break;
     }
     case Statement::Kind::kPrepare: {
@@ -488,8 +459,7 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec,
     }
     case Statement::Kind::kExecPrepared: {
       TDB_ASSIGN_OR_RETURN(
-          last, RunExecPrepared(static_cast<ExecPreparedStmt*>(stmt), exec,
-                                data_mutating));
+          last, RunExecPrepared(static_cast<ExecPreparedStmt*>(stmt), exec));
       break;
     }
     case Statement::Kind::kDeallocate: {
@@ -607,8 +577,7 @@ Result<ExecResult> Session::RunPrepare(PrepareStmt* prep, ExecEnv& exec) {
 }
 
 Result<ExecResult> Session::RunExecPrepared(ExecPreparedStmt* ex,
-                                            ExecEnv& exec,
-                                            bool* data_mutating) {
+                                            ExecEnv& exec) {
   auto it = prepared_.find(ToLower(ex->name));
   if (it == prepared_.end()) {
     return Status::NotFound("prepared statement '" + ex->name +
@@ -641,8 +610,7 @@ Result<ExecResult> Session::RunExecPrepared(ExecPreparedStmt* ex,
   // executors capture the pointer at construction, inside RunStatement.
   exec.params = &args;
   prepared_text_hint_ = &entry.text;
-  Result<ExecResult> result =
-      RunStatement(entry.stmt.get(), exec, data_mutating);
+  Result<ExecResult> result = RunStatement(entry.stmt.get(), exec);
   prepared_text_hint_ = nullptr;
   exec.params = nullptr;  // args dies with this frame
   return result;
@@ -759,17 +727,6 @@ Result<ExecResult> Session::RetrieveViaPlanCache(RetrieveStmt* stmt,
   return ExecuteCachedPlan(*entry, exec);
 }
 
-void Session::BumpVersionsEmbedded(const Statement* stmt) {
-  if (!db_->plan_cache_enabled()) return;
-  LockPlan lp = ClassifyStatement(EffectiveStatement(stmt), ranges_);
-  if (!lp.writes) return;
-  std::lock_guard<std::mutex> lock(db_->version_mu_);
-  for (const auto& [name, exclusive] : lp.rels) {
-    if (exclusive) ++db_->rel_versions_[ToLower(name)];
-  }
-  if (lp.ddl == StatementLocks::DdlMode::kExclusive) ++db_->catalog_gen_;
-}
-
 Result<ExecResult> Session::Prepare(const std::string& name,
                                     const std::string& text) {
   TDB_ASSIGN_OR_RETURN(auto stmts, Parser::ParseScript(text));
@@ -795,55 +752,6 @@ Result<ExecResult> Session::DeallocatePrepared(const std::string& name) {
   DeallocateStmt dealloc;
   dealloc.name = name;
   return ExecuteOne(&dealloc);
-}
-
-Result<ExecResult> Session::ExecuteStatementEmbedded(Statement* stmt) {
-  ExecEnv exec = MakeExecEnv(options_.as_of.value_or(db_->now()));
-  bool data_mutating = false;
-  // A pinned as-of must never stamp new versions into the past: mutating
-  // statements re-resolve against the live clock.
-  if (options_.as_of.has_value()) {
-    LockPlan lp = ClassifyStatement(EffectiveStatement(stmt), ranges_);
-    if (lp.data_mutating) exec.now = db_->now();
-  }
-  TDB_ASSIGN_OR_RETURN(ExecResult last,
-                       RunStatement(stmt, exec, &data_mutating));
-  // With the plan cache on, even the single-session path must publish
-  // version stamps — they are components of every cache key.
-  BumpVersionsEmbedded(stmt);
-  if (data_mutating) {
-    db_->PersistClock();
-    if (db_->options_.auto_advance_seconds > 0) {
-      db_->AdvanceSeconds(db_->options_.auto_advance_seconds);
-    }
-  }
-  return last;
-}
-
-Status Session::CommitStatementEmbedded() {
-  // Write back every dirty frame; each in-place overwrite first pre-images
-  // the page through the journal hooks.
-  for (auto& [_, rel] : relations_) {
-    TDB_RETURN_NOT_OK(rel->FlushBuffers());
-  }
-  if (db_->journal_->mode() == DurabilityMode::kJournalSync) {
-    for (auto& [_, rel] : relations_) {
-      TDB_RETURN_NOT_OK(rel->SyncFiles());
-    }
-  }
-  return db_->journal_->Commit();
-}
-
-Status Session::RollbackStatementEmbedded() {
-  // Dirty frames hold aborted content; drop them unwritten so destructor
-  // flushes cannot leak them to disk, then close the handles (the files
-  // are about to change underneath them).
-  for (auto& [_, rel] : relations_) rel->DiscardBuffers();
-  relations_.clear();
-  TDB_RETURN_NOT_OK(db_->journal_->Rollback());
-  // The journal restored catalog.meta on disk; re-read it so the
-  // in-memory image matches again.
-  return db_->catalog_.Load();
 }
 
 void Session::InvalidateStaleHandles() {
@@ -877,7 +785,7 @@ void Session::InvalidateStaleHandles() {
   }
 }
 
-Result<ExecResult> Session::ExecuteStatementConcurrent(Statement* stmt) {
+Result<ExecResult> Session::ExecuteStatement(Statement* stmt) {
   // An `execute` takes the locks of its stored inner statement.
   LockPlan lp = ClassifyStatement(EffectiveStatement(stmt), ranges_);
   Journal* journal = db_->journal_.get();
@@ -894,62 +802,53 @@ Result<ExecResult> Session::ExecuteStatementConcurrent(Statement* stmt) {
     // the pin.  Writers draw a fresh stamp, advancing the shared clock.
     const TimePoint stmt_now =
         lp.data_mutating ? db_->AcquireTxTime()
-                         : options_.as_of.value_or(db_->NowSnapshot());
+                         : options_.as_of.value_or(db_->now());
     ExecEnv exec = MakeExecEnv(stmt_now);
-    bool data_mutating = false;
 
-    if (lp.writes && journal != nullptr) {
-      // One journal, one writer batch at a time: Begin..CommitGroup runs
-      // under the database's journal mutex.  The commit-mark fsync happens
-      // after unlock, where overlapping writers share it (group commit).
-      std::lock_guard<std::mutex> jlock(db_->journal_mu_);
+    // One journal, one writer batch at a time: Begin..CommitGroup runs
+    // under the journal's writer lock.  The commit-mark fsync happens after
+    // the statement's locks drop, where overlapping writers share it (group
+    // commit).
+    const bool journaled = lp.writes && journal != nullptr;
+    std::optional<Journal::WriterLock> batch;
+    if (journaled) {
+      batch.emplace(journal);
       TDB_RETURN_NOT_OK(journal->Begin());
-      result = RunStatement(stmt, exec, &data_mutating);
-      if (result.ok() && lp.data_mutating) db_->PersistClock();
-      if (result.ok()) {
-        Status commit = [&]() -> Status {
-          for (auto& [_, rel] : relations_) {
-            TDB_RETURN_NOT_OK(rel->FlushBuffers());
-          }
-          if (journal->mode() == DurabilityMode::kJournalSync) {
-            // Data must be durable before the commit mark exists: a durable
-            // mark asserts exactly that (see Journal group-commit contract).
-            for (auto& [_, rel] : relations_) {
-              TDB_RETURN_NOT_OK(rel->SyncFiles());
-            }
-          }
-          TDB_ASSIGN_OR_RETURN(ticket, journal->CommitGroup());
-          wait_durable = journal->mode() == DurabilityMode::kJournalSync;
-          return Status::OK();
-        }();
-        if (!commit.ok()) result = commit;
-      }
-      if (!result.ok()) {
-        for (auto& [_, rel] : relations_) rel->DiscardBuffers();
-        relations_.clear();
-        TDB_RETURN_NOT_OK(journal->Rollback());
-        if (lp.ddl == StatementLocks::DdlMode::kExclusive) {
-          // Only DDL rewrites catalog.meta; reloading it under the shared
-          // latch would race other sessions' catalog reads.
-          TDB_RETURN_NOT_OK(db_->catalog_.Load());
-        }
-      }
-    } else {
-      result = RunStatement(stmt, exec, &data_mutating);
-      if (result.ok() && lp.data_mutating) db_->PersistClock();
-      if (result.ok() && lp.writes) {
-        // No journal: still write back dirty frames before the exclusive
-        // lock drops, so other sessions' reopened handles see this
-        // statement's pages.
+    }
+    result = RunStatement(stmt, exec);
+    if (result.ok() && lp.data_mutating) db_->PersistClock();
+    if (result.ok() && lp.writes) {
+      Status commit = [&]() -> Status {
+        // Write back dirty frames before the exclusive lock drops, so other
+        // sessions' reopened handles see this statement's pages.
         for (auto& [_, rel] : relations_) {
-          Status flushed = rel->FlushBuffers();
-          if (!flushed.ok()) {
-            result = flushed;
-            break;
+          TDB_RETURN_NOT_OK(rel->FlushBuffers());
+        }
+        if (!journaled) return Status::OK();
+        if (journal->mode() == DurabilityMode::kJournalSync) {
+          // Data must be durable before the commit mark exists: a durable
+          // mark asserts exactly that (see Journal group-commit contract).
+          for (auto& [_, rel] : relations_) {
+            TDB_RETURN_NOT_OK(rel->SyncFiles());
           }
         }
+        TDB_ASSIGN_OR_RETURN(ticket, journal->CommitGroup());
+        wait_durable = journal->mode() == DurabilityMode::kJournalSync;
+        return Status::OK();
+      }();
+      if (!commit.ok()) result = commit;
+    }
+    if (!result.ok() && journaled) {
+      for (auto& [_, rel] : relations_) rel->DiscardBuffers();
+      relations_.clear();
+      TDB_RETURN_NOT_OK(journal->Rollback());
+      if (lp.ddl == StatementLocks::DdlMode::kExclusive) {
+        // Only DDL rewrites catalog.meta; reloading it under the shared
+        // latch would race other sessions' catalog reads.
+        TDB_RETURN_NOT_OK(db_->catalog_.Load());
       }
     }
+    batch.reset();
 
     if (result.ok() && lp.writes) {
       // Publish: bump the versions of everything written (still under this

@@ -40,16 +40,17 @@ struct SessionOptions {
 /// One client's connection to a Database: the unit of statement execution
 /// and client state (range declarations, open relation handles, I/O
 /// accounting, pinned as-of timestamp).  The embedded API
-/// (`Database::Execute`) is a thin wrapper over an implicit default
+/// (`Database::Execute`) is a thin wrapper over the database's default
 /// session; the server's connection handlers each own one.
 ///
-/// Sessions created by Database::CreateSession() may execute statements
-/// concurrently from different threads — the database's lock table
-/// serializes writers per relation, readers run in parallel against
-/// pinned snapshots, and the journal group-commits overlapping writers.
-/// One Session is still one client: its own methods must not be called
-/// concurrently with each other.  Every Session must be destroyed before
-/// its Database.
+/// Every session, the default one included, runs its statements the same
+/// way, so sessions may execute concurrently from different threads — the
+/// database's lock table serializes writers per relation, readers run in
+/// parallel against pinned snapshots, and the journal group-commits
+/// overlapping writers.  One Session is still one client: its own methods
+/// must not be called concurrently with each other (debug builds assert
+/// it), though successive statements may come from different threads.
+/// Every Session must be destroyed before its Database.
 class Session {
  public:
   ~Session();
@@ -101,17 +102,13 @@ class Session {
   /// cache and scratch tag.
   ExecEnv MakeExecEnv(TimePoint now);
 
-  /// Executes one already-parsed statement through the embedded or
-  /// concurrent machinery (journal batch, locks, clock) — the body of
-  /// ExecuteScript's loop, also used by the prepared-statement API where
-  /// there is no text to parse.
+  /// Executes one already-parsed statement, with metrics around
+  /// ExecuteStatement — the body of ExecuteScript's loop, also used by the
+  /// prepared-statement API where there is no text to parse.
   Result<ExecResult> ExecuteOne(Statement* stmt);
 
-  /// The per-statement kind switch, shared by the embedded and concurrent
-  /// paths.  Sets *data_mutating for statements that stamp transaction
-  /// time (append/delete/replace/copy-from).
-  Result<ExecResult> RunStatement(Statement* stmt, ExecEnv& exec,
-                                  bool* data_mutating);
+  /// The per-statement kind switch.
+  Result<ExecResult> RunStatement(Statement* stmt, ExecEnv& exec);
 
   /// The statement whose reads/writes decide a LockPlan: an `execute` of a
   /// prepared statement classifies as its stored inner statement (an
@@ -131,8 +128,7 @@ class Session {
   /// the wire path's pre-decoded values), re-binds the stored AST against
   /// the live catalog, and runs it with `exec.params` pointing at the
   /// argument vector for the `$N` evaluator.
-  Result<ExecResult> RunExecPrepared(ExecPreparedStmt* ex, ExecEnv& exec,
-                                     bool* data_mutating);
+  Result<ExecResult> RunExecPrepared(ExecPreparedStmt* ex, ExecEnv& exec);
 
   // --- shared plan cache (DatabaseOptions::plan_cache) -------------------
 
@@ -163,21 +159,10 @@ class Session {
   /// against the entry's (read-only, shared) AST.
   Result<ExecResult> ExecuteCachedPlan(const CachedPlan& entry, ExecEnv& exec);
 
-  /// Version-stamp bump after an embedded-path write, mirroring what the
-  /// concurrent path publishes under its locks — the plan cache keys off
-  /// these stamps, so they must move on every write even with one session.
-  /// Only runs when the plan cache is enabled, keeping paper mode free of
-  /// the version mutex.
-  void BumpVersionsEmbedded(const Statement* stmt);
-
-  /// Embedded path: byte-identical to the pre-session Database behavior.
-  Result<ExecResult> ExecuteStatementEmbedded(Statement* stmt);
-  Status CommitStatementEmbedded();
-  Status RollbackStatementEmbedded();
-
-  /// Concurrent path: statement locks, pinned snapshot or acquired tx
-  /// time, journal group commit, cross-session handle invalidation.
-  Result<ExecResult> ExecuteStatementConcurrent(Statement* stmt);
+  /// The one statement path: statement locks, a pinned snapshot or an
+  /// acquired transaction time, journal group commit, and publishing the
+  /// written relations' versions to other sessions.
+  Result<ExecResult> ExecuteStatement(Statement* stmt);
 
   /// Drops relation handles another session's committed statement made
   /// stale.  Called at statement start while this statement's locks are

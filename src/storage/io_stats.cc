@@ -30,22 +30,35 @@ void AccumulateDelta(IoCounters* into, const IoCounters& before,
   }
 }
 
-void IoRegistry::CheckOwnerThread() const {
+IoRegistry::StatementScope::StatementScope(IoRegistry* registry)
+    : registry_(registry) {
+  std::thread::id idle{};
+  const bool entered = registry_->occupant_.compare_exchange_strong(
+      idle, std::this_thread::get_id(), std::memory_order_acq_rel);
+  assert(entered &&
+         "two threads inside one session at once: a session (and the "
+         "Database wrappers' default session) runs one statement at a time");
+  (void)entered;
+}
+
+IoRegistry::StatementScope::~StatementScope() {
   std::thread::id self = std::this_thread::get_id();
-  std::thread::id expected{};
-  if (owner_.compare_exchange_strong(expected, self,
-                                     std::memory_order_relaxed)) {
-    return;  // first use: bound to this thread
-  }
-  assert(expected == self &&
-         "IoRegistry touched from a second thread: each concurrent benchmark "
-         "cell must own its Env/Database exclusively (one writer per Env)");
-  (void)self;
-  (void)expected;
+  registry_->occupant_.compare_exchange_strong(self, std::thread::id{},
+                                               std::memory_order_acq_rel);
+}
+
+void IoRegistry::CheckNoOtherThread() const {
+  const std::thread::id occupant =
+      occupant_.load(std::memory_order_acquire);
+  assert((occupant == std::thread::id{} ||
+          occupant == std::this_thread::get_id()) &&
+         "IoRegistry touched while another thread runs a statement on it: "
+         "each concurrent benchmark cell must own its Database exclusively");
+  (void)occupant;
 }
 
 IoCounters* IoRegistry::ForFile(const std::string& file_name) {
-  CheckOwnerThread();
+  CheckNoOtherThread();
   auto it = by_file_.find(file_name);
   if (it == by_file_.end()) {
     it = by_file_.emplace(file_name, std::make_unique<IoCounters>()).first;
@@ -64,7 +77,7 @@ void IoRegistry::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void IoRegistry::ResetAll() {
-  CheckOwnerThread();
+  CheckNoOtherThread();
   for (auto& [_, counters] : by_file_) counters->Reset();
 }
 

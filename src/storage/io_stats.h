@@ -110,26 +110,37 @@ void AccumulateDelta(IoCounters* into, const IoCounters& before,
 /// routed through the registry, matching the paper's exclusion of system
 /// relations.
 ///
-/// NOT thread-safe, by design: counters and the logical clock are plain
-/// fields so the measured page counts stay deterministic.  The parallel
-/// benchmark driver (bench/bench_util.h) therefore gives every concurrent
-/// cell its own Env + Database — one writer per registry, ever.  Debug
-/// builds enforce the rule: the registry binds to the first thread that
-/// touches it and asserts on any other.
+/// NOT thread-safe, by design: counters are plain fields so the measured
+/// page counts stay deterministic.  Each Session owns one registry and runs
+/// one statement at a time, so a registry has one writer at any moment;
+/// successive statements may come from different threads (the epoll server
+/// hands a connection to whichever worker is free).  The parallel benchmark
+/// driver (bench/bench_util.h) gives every concurrent cell its own Env +
+/// Database.  Debug builds enforce the rule: a StatementScope marks the
+/// thread inside a statement, and a second thread entering a statement or
+/// touching the counters meanwhile asserts.
 class IoRegistry {
  public:
+  /// Marks the calling thread as the one running a statement on this
+  /// registry for the scope's lifetime, asserting (debug builds) that no
+  /// other thread is running one.
+  class StatementScope {
+   public:
+    explicit StatementScope(IoRegistry* registry);
+    ~StatementScope();
+    StatementScope(const StatementScope&) = delete;
+    StatementScope& operator=(const StatementScope&) = delete;
+
+   private:
+    IoRegistry* registry_;
+  };
+
   /// Returns (creating if needed) the counters for `file_name`.  The
   /// returned pointer stays valid for the registry's lifetime.
   IoCounters* ForFile(const std::string& file_name);
 
   /// Zeroes every counter (called before each measured query).
   void ResetAll();
-
-  /// Binds the registry to the calling thread on first use and asserts
-  /// (debug builds) that every later call arrives on the same thread.
-  /// Kept out of the per-tuple Total() path; ForFile / ResetAll and
-  /// Database::Execute call it.
-  void CheckOwnerThread() const;
 
   /// Sum over all files.
   IoCounters Total() const;
@@ -156,9 +167,12 @@ class IoRegistry {
   std::map<std::string, std::unique_ptr<IoCounters>> by_file_;
   obs::MetricsRegistry* metrics_ = nullptr;
   IoTrace trace_;
-  /// Id of the thread the registry is bound to; default-constructed until
-  /// the first CheckOwnerThread.  Atomic so the guard itself is race-free.
-  mutable std::atomic<std::thread::id> owner_{};
+  /// Asserts (debug builds) that no other thread is inside a statement.
+  /// Kept out of the per-tuple Total() path; ForFile and ResetAll call it.
+  void CheckNoOtherThread() const;
+  /// The thread inside a StatementScope; default-constructed while none
+  /// is.  Atomic so the guard itself is race-free.
+  std::atomic<std::thread::id> occupant_{};
 };
 
 }  // namespace tdb

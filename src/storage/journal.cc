@@ -194,9 +194,7 @@ Status Journal::Begin() {
   if (active_) return Status::Internal("journal batch already active");
   if (m_batches_ != nullptr) m_batches_->Increment();
   // Reclaim the file only once every sealed batch's commit mark is durable;
-  // marks awaiting a WaitDurable() fsync must survive until then.  The
-  // single-session protocol (Commit syncs + truncates) always takes this
-  // branch, preserving the legacy empty-at-Begin invariant.
+  // marks awaiting a WaitDurable() fsync must survive until then.
   if (committed_seq_.load(std::memory_order_acquire) ==
       synced_seq_.load(std::memory_order_acquire)) {
     TDB_RETURN_NOT_OK(file_->Truncate(0));
@@ -320,32 +318,6 @@ Status Journal::BeforeDeleteFile(const std::string& path) {
   return BeforeFileRewrite(path);
 }
 
-Status Journal::Commit() {
-  if (!active_) return Status::OK();
-  active_ = false;
-  if (m_commits_ != nullptr) m_commits_->Increment();
-  if (batch_.empty()) return Status::OK();  // read-only statement
-  Record mark;
-  mark.type = kCommit;
-  std::vector<uint8_t> bytes = EncodeRecord(mark);
-  TDB_RETURN_NOT_OK(file_->Write(write_offset_, bytes.data(), bytes.size()));
-  if (mode_ == DurabilityMode::kJournalSync) {
-    TDB_RETURN_NOT_OK(file_->Sync());
-  }
-  // The statement is now durable.  Emptying the journal is tidy-up only:
-  // if it fails (or we crash first), recovery sees the mark and discards.
-  (void)file_->Truncate(0);
-  write_offset_ = 0;
-  batch_start_offset_ = 0;
-  committed_seq_.fetch_add(1, std::memory_order_acq_rel);
-  synced_seq_.store(committed_seq_.load(std::memory_order_acquire),
-                    std::memory_order_release);
-  batch_.clear();
-  files_.clear();
-  sync_pending_ = false;
-  return Status::OK();
-}
-
 Result<uint64_t> Journal::CommitGroup() {
   if (!active_) return synced_seq_.load(std::memory_order_acquire);
   active_ = false;
@@ -385,10 +357,11 @@ Status Journal::WaitDurable(uint64_t ticket) {
   if (synced_seq_.load(std::memory_order_acquire) >= ticket) {
     return Status::OK();
   }
-  // Group window: hold the fsync briefly so commits racing through the
-  // writer path can append their marks and ride this sync for free.
+  // Group window: while another writer holds or awaits the WriterLock,
+  // hold the fsync briefly so its mark can land and ride this sync for
+  // free.  A lone writer has nobody to wait for.
   const int window = group_window_micros_.load(std::memory_order_relaxed);
-  if (window > 0) {
+  if (window > 0 && open_writers_.load(std::memory_order_acquire) > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(window));
   }
   // Capture before the fsync: marks appended during the sync may or may not
@@ -491,8 +464,7 @@ Status Journal::Recover(Env* env, const std::string& dir) {
   }
   // Group commit leaves several sealed batches in one file; everything up
   // to the LAST commit mark committed, and only the records after it (a
-  // batch cut off mid-statement) roll back.  The single-session protocol is
-  // the one-batch special case.
+  // batch cut off mid-statement) roll back.
   size_t resume = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     if (records[i].type == kCommit) resume = i + 1;

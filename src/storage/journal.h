@@ -46,8 +46,10 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 
 /// Write-ahead *undo* journal for one database directory.
 ///
-/// Protocol (one batch per statement):
-///   1. Begin() empties the journal.
+/// Protocol (one batch per writing statement; a WriterLock serializes
+/// whole batches, Begin .. CommitGroup or Rollback):
+///   1. Begin() starts a batch, emptying the journal file once every
+///      earlier batch's commit mark is durable.
 ///   2. Before any byte of database state is overwritten in place, the
 ///      owner of that state calls a Before*() hook and the journal appends
 ///      the *pre-image* — the first time only, per page / file per batch:
@@ -60,15 +62,18 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 ///      In kJournalSync mode the appended records are fsynced before the
 ///      hook returns, so the pre-image always reaches stable storage
 ///      before the overwrite it protects.
-///   3. Commit() appends a commit-mark record (after the caller has
-///      flushed — and in kJournalSync synced — the data files) and then
-///      empties the journal.
+///   3. CommitGroup() appends a commit-mark record (after the caller has
+///      flushed — and in kJournalSync synced — the data files) and returns
+///      a ticket.  The caller drops its WriterLock, then
+///      WaitDurable(ticket) makes the mark durable: one fsync covers every
+///      mark appended so far, so overlapping writers share it (group
+///      commit).
 ///   4. Rollback() re-applies the batch's pre-images in reverse order,
 ///      returning every file to its batch-start image.
 ///
-/// Recover() reads a journal left behind by a crash: a journal that is
-/// empty or ends with a commit mark is discarded (the statement committed);
-/// anything else is rolled back.  A torn tail (short or CRC-mismatched
+/// Recover() reads a journal left behind by a crash: everything up to the
+/// last commit mark committed and is discarded; the records after it (a
+/// batch cut off mid-statement) are rolled back.  A torn tail (short or CRC-mismatched
 /// record) marks the exact point the crash interrupted an append; since
 /// every append precedes the write it protects, the torn record's data
 /// write never happened and the tail is simply ignored.  Recovery only
@@ -95,12 +100,13 @@ class Journal {
 
   DurabilityMode mode() const { return mode_; }
 
-  /// True between a successful Begin() and the matching Commit()/Rollback().
-  bool active() const { return active_; }
-
   /// True until a rollback fails (leaving disk state only recoverable by
   /// Recover() on reopen).
   bool healthy() const { return healthy_; }
+
+  /// True between a successful Begin() and the matching
+  /// CommitGroup()/Rollback().
+  bool active() const { return active_; }
 
   /// Wires (or unwires, with nullptr) observability counters:
   /// journal.{batches,commits,rollbacks,records,pre_image_bytes,replay_ops}.
@@ -112,38 +118,41 @@ class Journal {
   void set_page_size(uint32_t page_size) { page_size_ = page_size; }
   uint32_t page_size() const { return page_size_; }
 
-  /// Starts a statement batch: empties the journal and forgets per-batch
-  /// dedup state.
-  Status Begin();
+  /// Serializes writers' batches: a writer holds one from before Begin()
+  /// until after CommitGroup() or Rollback().  While it holds or awaits
+  /// the lock, the writer counts as open for WaitDurable's group window.
+  class WriterLock {
+   public:
+    explicit WriterLock(Journal* journal) : journal_(journal) {
+      journal_->open_writers_.fetch_add(1, std::memory_order_acq_rel);
+      journal_->writer_mu_.lock();
+    }
+    ~WriterLock() {
+      journal_->writer_mu_.unlock();
+      journal_->open_writers_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    WriterLock(const WriterLock&) = delete;
+    WriterLock& operator=(const WriterLock&) = delete;
 
-  /// Seals the batch: appends the commit mark, syncs it (kJournalSync), and
-  /// empties the journal.  The caller must have flushed (and, in
-  /// kJournalSync, synced) all data files first.
-  Status Commit();
+   private:
+    Journal* journal_;
+  };
+
+  /// Starts a statement batch: empties the journal once nothing sealed
+  /// awaits a sync, and forgets per-batch dedup state.
+  Status Begin();
 
   /// Undoes the batch on disk by applying its pre-images in reverse.  The
   /// caller must discard all in-memory state derived from the rolled-back
   /// files (buffer frames, open relations, the catalog image).
   Status Rollback();
 
-  // --- group commit -------------------------------------------------------
-  //
-  // The concurrent service layer serializes whole batches (Begin .. seal)
-  // under one writer mutex but moves the commit-mark fsync OUT of that
-  // critical section, so N overlapping kJournalSync commits share one
-  // journal fsync instead of paying one each.  Protocol per writer:
-  //
-  //   lock   -> Begin(); execute; flush + sync data files; CommitGroup()
-  //   unlock -> WaitDurable(ticket)   // durability point for the client
-  //
-  // Data files MUST be synced before CommitGroup appends the mark: a
-  // durable mark asserts the batch's data is durable too.  The journal is
-  // not truncated while sealed-but-unsynced marks remain; the next Begin()
-  // reclaims the file once every sealed batch is covered by a sync.
-
-  /// Seals the batch like Commit() but defers the commit-mark fsync and the
-  /// truncate.  Returns a ticket for WaitDurable().  An empty (read-only)
-  /// batch returns an already-durable ticket.
+  /// Seals the batch: appends the commit mark and returns a ticket for
+  /// WaitDurable().  The caller must have flushed (and, in kJournalSync,
+  /// synced) all data files first: a durable mark asserts the batch's data
+  /// is durable too.  The fsync and the truncate are deferred — the next
+  /// Begin() reclaims the file once every sealed batch is synced.  An
+  /// empty (read-only) batch returns an already-durable ticket.
   Result<uint64_t> CommitGroup();
 
   /// Blocks until every batch sealed at or before `ticket` has its commit
@@ -153,9 +162,11 @@ class Journal {
   Status WaitDurable(uint64_t ticket);
 
   /// Group-commit window: how long an elected leader waits before its
-  /// fsync so concurrent committers can land marks and share it.  The
-  /// fsync itself dominates real devices; the window matters on fast
-  /// storage where commits would otherwise each pay their own sync.
+  /// fsync while another writer holds or awaits the WriterLock, so that
+  /// writer can land its mark and share the fsync.  A lone writer syncs at
+  /// once.  The fsync itself dominates real devices; the window
+  /// matters on fast storage where commits would otherwise each pay their
+  /// own sync.
   void set_group_window_micros(int micros) { group_window_micros_ = micros; }
 
   // --- pre-image hooks (no-ops outside an active batch) -------------------
@@ -236,16 +247,19 @@ class Journal {
   bool healthy_ = true;
   bool sync_pending_ = false;
   uint64_t write_offset_ = 0;
-  /// File offset where the active batch's first record starts.  0 in the
-  /// single-session protocol (Begin truncates); non-zero when sealed
-  /// batches from the group-commit protocol still precede it.
+  /// File offset where the active batch's first record starts: non-zero
+  /// when sealed batches whose marks await a sync still precede it.
   uint64_t batch_start_offset_ = 0;
   /// Batches sealed with a commit mark / batches whose mark reached stable
-  /// storage.  Begin/Commit/CommitGroup run under the owner's writer mutex;
+  /// storage.  Begin/CommitGroup/Rollback run under a WriterLock;
   /// WaitDurable runs outside it, hence atomics plus a sync leader mutex.
   std::atomic<uint64_t> committed_seq_{0};
   std::atomic<uint64_t> synced_seq_{0};
   std::mutex sync_mu_;
+  /// Held by a WriterLock; open_writers_ counts the writers holding or
+  /// awaiting it.
+  std::mutex writer_mu_;
+  std::atomic<int> open_writers_{0};
   std::atomic<int> group_window_micros_{0};
   std::vector<Record> batch_;  // in-memory mirror for in-session rollback
   std::map<std::string, FileState> files_;

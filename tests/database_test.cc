@@ -392,5 +392,53 @@ TEST(DatabaseDurabilityTest, FailedStatementRollsBackAndReportsContext) {
   EXPECT_EQ(rows->num_rows(), 2u);
 }
 
+// An invalid page size is refused before anything is written, so the
+// directory is still a fresh database afterwards.
+TEST(DatabaseStorageMetaTest, RefusedPageSizeLeavesNoLayoutBehind) {
+  MemEnv env;
+  DatabaseOptions bad;
+  bad.env = &env;
+  bad.page_size = 1000;
+  auto refused = Database::Open("/db", bad);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("page size 1000"),
+            std::string::npos);
+
+  DatabaseOptions defaults;
+  defaults.env = &env;
+  auto db = Database::Open("/db", defaults);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->Execute("create parts (id = i4)").ok());
+}
+
+// A database created with the paper layout keeps its 1024-byte pages when
+// reopened with another page size: the layout belongs to the directory.
+TEST(DatabaseStorageMetaTest, PaperDirectoryKeepsItsPageSizeOnReopen) {
+  MemEnv env;
+  DatabaseOptions paper;
+  paper.env = &env;
+  {
+    auto db = Database::Open("/db", paper);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    std::string script = "create parts (id = i4, name = c12)";
+    for (int i = 0; i < 100; ++i) {
+      script += ";append to parts (id = " + std::to_string(i) +
+                ", name = \"p" + std::to_string(i) + "\")";
+    }
+    ASSERT_TRUE((*db)->ExecuteScript(script).ok());
+  }
+  DatabaseOptions production = paper;
+  production.page_size = 4096;
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    auto db = Database::Open("/db", reopen == 0 ? production : paper);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Execute("range of p is parts").ok());
+    auto rows = (*db)->Query("retrieve (n = count(p.id))");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->rows[0][0].AsInt(), 100);
+  }
+  EXPECT_FALSE(env.FileExists("/db/storage"));
+}
+
 }  // namespace
 }  // namespace tdb

@@ -5,6 +5,8 @@
 //     appended so far, so later tickets are satisfied for free;
 //   * Begin reclaims the journal file only once everything committed is
 //     synced;
+//   * the group window holds a leader's fsync only while another writer
+//     is open, so a lone writer never waits it out;
 //   * a crash between batch fsyncs recovers to the last durable commit
 //     mark — synced batches survive, the unsynced tail rolls back.
 
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -134,6 +137,30 @@ TEST_F(GroupCommitTest, RecoverRollsBackOnlyPastTheLastCommitMark) {
   EXPECT_EQ(read_fill("/db/a.dat"), 0x11);
   EXPECT_EQ(read_fill("/db/b.dat"), 0x21);
   EXPECT_EQ(read_fill("/db/c.dat"), 0x30);
+}
+
+// The window only holds an fsync for writers that could share it: a
+// session writing with nobody behind it syncs at once, however long the
+// window.
+TEST(GroupCommitWindowTest, LoneWriterDoesNotWaitOutTheWindow) {
+  MemEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  options.durability = DurabilityMode::kJournalSync;
+  options.group_commit_window_micros = 30'000'000;
+  auto db = Database::Open("/db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto session = (*db)->CreateSession();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(session
+                  ->ExecuteScript("create emp (sal = i4);"
+                                  "append to emp (sal = 1);"
+                                  "append to emp (sal = 2)")
+                  .ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  // Each writing statement still made its commit mark durable.
+  EXPECT_EQ((*db)->Snapshot().counters.at("journal.group_syncs"), 3u);
 }
 
 /// End-to-end crash sweep through the concurrent commit path: open a

@@ -131,7 +131,13 @@ TEST_F(JournalTest, CommitEmptiesJournalAndKeepsNewContent) {
   ASSERT_TRUE(journal_->Begin().ok());
   ASSERT_TRUE(journal_->BeforePageWrite("/db/r.dat", file->get(), 0).ok());
   WritePage(&env_, "/db/r.dat", 0, 0xBB);
-  ASSERT_TRUE(journal_->Commit().ok());
+  auto ticket = journal_->CommitGroup();
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(journal_->WaitDurable(*ticket).ok());
+  // The mark is durable, so the next batch starts from an empty journal.
+  ASSERT_TRUE(journal_->Begin().ok());
+  EXPECT_EQ(FileContent(&env_, Journal::PathFor("/db")), "");
+  ASSERT_TRUE(journal_->Rollback().ok());
 
   EXPECT_EQ(static_cast<uint8_t>(FileContent(&env_, "/db/r.dat")[0]), 0xBB);
   // A committed batch must leave nothing for recovery to undo.

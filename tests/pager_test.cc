@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <thread>
+
 #include "env/env.h"
 
 namespace tdb {
@@ -260,6 +263,44 @@ TEST(IoRegistryTest, ForFileAndTotals) {
   registry.ResetAll();
   EXPECT_EQ(registry.Total().TotalReads(), 0u);
 }
+
+// A session runs one statement at a time, but not always on one thread:
+// the epoll server hands a connection to whichever worker is free.
+TEST(IoRegistryTest, SuccessiveStatementsMayRunOnDifferentThreads) {
+  IoRegistry registry;
+  for (int i = 0; i < 3; ++i) {
+    std::thread worker([&registry] {
+      IoRegistry::StatementScope scope(&registry);
+      registry.ForFile("r")->reads[0] += 1;
+    });
+    worker.join();
+  }
+  registry.ResetAll();
+  EXPECT_EQ(registry.by_file().size(), 1u);
+}
+
+#ifndef NDEBUG
+// Two threads inside one session at once — say, two benchmark cells
+// sharing one Database — trip the debug check.
+TEST(IoRegistryDeathTest, SecondThreadInsideAStatementAsserts) {
+  IoRegistry registry;
+  EXPECT_DEATH(
+      {
+        std::promise<void> inside;
+        std::promise<void> release;
+        std::thread first([&] {
+          IoRegistry::StatementScope scope(&registry);
+          inside.set_value();
+          release.get_future().wait();
+        });
+        inside.get_future().wait();
+        IoRegistry::StatementScope second(&registry);
+        release.set_value();
+        first.join();
+      },
+      "two threads inside one session");
+}
+#endif
 
 }  // namespace
 }  // namespace tdb

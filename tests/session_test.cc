@@ -6,21 +6,28 @@
 //   * Session as client state — own range declarations, own temp files,
 //     pinned as-of snapshots, and mutating statements that always stamp
 //     the live clock;
-//   * the embedded wrappers staying exact: Database::Execute is the
-//     default session, byte-for-byte.
+//   * one statement path: Database::Execute is the default session, an
+//     ordinary session, so a database used alone and one with an idle
+//     second session run a script identically.
 
 #include "core/session.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/database.h"
 #include "core/plan_cache.h"
 #include "env/env.h"
+#include "util/random.h"
+#include "util/stringx.h"
 
 namespace tdb {
 namespace {
@@ -245,16 +252,100 @@ TEST_F(SessionTest, ErrorsCarryStatementContextThroughSessions) {
   EXPECT_EQ(result.status().statement_context()->statement_index, 2);
 }
 
-TEST_F(SessionTest, EmbeddedWrappersStillWorkAfterSessionsExist) {
+TEST_F(SessionTest, DefaultSessionInterleavesWithCreatedSessions) {
   ASSERT_TRUE(db_->Execute("create emp (sal = i4)").ok());
-  auto session = db_->CreateSession();  // flips concurrent mode
+  auto session = db_->CreateSession();
   ASSERT_TRUE(session->Execute("range of e is emp").ok());
-  // The embedded wrappers route through the default session on the
-  // concurrent path now; they must keep working mid-flight.
+  // The embedded wrappers are the default session: a write through them
+  // is visible at another session's next statement, and vice versa.
   ASSERT_TRUE(db_->ExecuteScript("range of e is emp;"
                                  "append to emp (sal = 1)")
                   .ok());
   EXPECT_EQ(Count(session.get(), "e"), 1);
+  ASSERT_TRUE(session->Execute("append to emp (sal = 2)").ok());
+  auto rows = db_->Query("retrieve (n = count(e.sal))");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 2);
+}
+
+/// What one run of the seeded script leaves behind: every statement's
+/// rows (or error), the per-file page counts, and the clock on reopen.
+struct ScriptRun {
+  std::vector<std::string> outputs;
+  std::map<std::string, std::pair<uint64_t, uint64_t>> pages;
+  int32_t reopened_now = 0;
+};
+
+ScriptRun RunSeededScript(bool idle_second_session) {
+  MemEnv env;
+  DatabaseOptions options;
+  options.env = &env;
+  ScriptRun run;
+  {
+    auto db = Database::Open("/db", options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    if (!db.ok()) return run;
+    std::unique_ptr<Session> idle;
+    if (idle_second_session) idle = (*db)->CreateSession();
+
+    Random rng(25);
+    std::vector<std::string> script = {
+        "create persistent interval emp (name = c8, sal = i4)",
+        "range of e is emp"};
+    for (int i = 0; i < 40; ++i) {
+      script.push_back(StrPrintf("append to emp (name = \"n%d\", sal = %d)",
+                                 i, static_cast<int>(rng.Uniform(1000))));
+    }
+    script.push_back("modify emp to hash on name");
+    for (int i = 0; i < 10; ++i) {
+      script.push_back(StrPrintf(
+          "replace e (sal = e.sal + %d) where e.name = \"n%d\"",
+          static_cast<int>(rng.Uniform(50)),
+          static_cast<int>(rng.Uniform(40))));
+    }
+    script.push_back(StrPrintf("delete e where e.sal < %d",
+                               static_cast<int>(rng.Uniform(300))));
+    script.push_back("append to nowhere (sal = 1)");  // fails
+    script.push_back("retrieve (e.name, e.sal) sort by name");
+    script.push_back("retrieve (e.name, e.sal) as of \"" +
+                     kDefaultStartTime.AddSeconds(45).ToString() +
+                     "\" sort by name");
+    script.push_back("retrieve (n = count(e.sal), t = sum(e.sal))");
+
+    for (const std::string& stmt : script) {
+      auto r = (*db)->Execute(stmt);
+      run.outputs.push_back(r.ok() ? r->message + "\n" + r->result.ToString()
+                                   : "error: " + r.status().ToString());
+    }
+    EXPECT_TRUE((*db)->DropAllBuffers().ok());
+    for (const auto& [file, c] : (*db)->io()->by_file()) {
+      run.pages[file] = {c->TotalReads(), c->TotalWrites()};
+    }
+  }
+  auto reopened = Database::Open("/db", options);
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  if (reopened.ok()) run.reopened_now = (*reopened)->now().seconds();
+  return run;
+}
+
+// A database used alone and one that first opened an idle second session
+// run the same statements the same way: rows, page I/O and clock.
+TEST(OnePathTest, IdleSecondSessionChangesNothing) {
+  const ScriptRun alone = RunSeededScript(/*idle_second_session=*/false);
+  const ScriptRun shared = RunSeededScript(/*idle_second_session=*/true);
+  ASSERT_EQ(alone.outputs.size(), shared.outputs.size());
+  for (size_t i = 0; i < alone.outputs.size(); ++i) {
+    EXPECT_EQ(alone.outputs[i], shared.outputs[i]) << "statement " << i + 1;
+  }
+  EXPECT_EQ(alone.pages, shared.pages);
+  EXPECT_EQ(alone.reopened_now, shared.reopened_now);
+  // The script did its work: the one bad statement failed and pages moved.
+  EXPECT_EQ(std::count_if(alone.outputs.begin(), alone.outputs.end(),
+                          [](const std::string& out) {
+                            return out.rfind("error: ", 0) == 0;
+                          }),
+            1);
+  EXPECT_FALSE(alone.pages.empty());
 }
 
 }  // namespace
