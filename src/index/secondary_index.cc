@@ -145,19 +145,26 @@ Status SecondaryIndex::InsertHistory(const Value& key, Tid tid,
   return file->Insert(rec.data(), rec.size(), nullptr);
 }
 
+Result<std::unique_ptr<Cursor>> SecondaryIndex::OpenMatches(
+    StorageFile* file, const Value& key, std::optional<KeyProbe>* filter) {
+  // A hash structure's bucket chain yields only the entries equal to the
+  // key; a heap structure is scanned whole and filtered here.
+  if (file->org() == Organization::kHash) return file->ScanKey(key);
+  TDB_ASSIGN_OR_RETURN(*filter, KeyProbe::Encode(layout_, key));
+  return file->Scan();
+}
+
 Result<Tid> SecondaryIndex::FindEntry(StorageFile* file, const Value& key,
                                       Tid tid) {
-  std::unique_ptr<Cursor> cur;
-  if (file->org() == Organization::kHash) {
-    TDB_ASSIGN_OR_RETURN(cur, file->ScanKey(key));
-  } else {
-    TDB_ASSIGN_OR_RETURN(cur, file->Scan());
-  }
+  std::optional<KeyProbe> filter;
+  TDB_ASSIGN_OR_RETURN(auto cur, OpenMatches(file, key, &filter));
+  CompareTally tally(file->pager());
   while (true) {
     TDB_ASSIGN_OR_RETURN(bool have, cur->Next());
     if (!have) break;
-    if (!layout_.KeyOf(cur->record().data()).Equals(key)) continue;
-    IndexEntryRef ref = DecodeEntry(layout_, cur->record().data());
+    const uint8_t* rec = cur->record().data();
+    if (filter.has_value() && tally.Compare(*filter, rec) != 0) continue;
+    IndexEntryRef ref = DecodeEntry(layout_, rec);
     if (ref.tid == tid) return cur->tid();
   }
   return Status::NotFound("index entry not found");
@@ -185,18 +192,16 @@ Status SecondaryIndex::MoveToHistory(const Value& key, Tid old_tid,
 
 Status SecondaryIndex::CollectMatches(StorageFile* file, const Value& key,
                                       std::vector<IndexEntryRef>* out) {
-  std::unique_ptr<Cursor> cur;
-  if (file->org() == Organization::kHash) {
-    TDB_ASSIGN_OR_RETURN(cur, file->ScanKey(key));
-  } else {
-    TDB_ASSIGN_OR_RETURN(cur, file->Scan());
-  }
+  std::optional<KeyProbe> filter;
+  TDB_ASSIGN_OR_RETURN(auto cur, OpenMatches(file, key, &filter));
+  CompareTally tally(file->pager());
   while (true) {
     TDB_ASSIGN_OR_RETURN(bool have, cur->Next());
     if (!have) break;
     if (m_entries_scanned_ != nullptr) m_entries_scanned_->Increment();
-    if (!layout_.KeyOf(cur->record().data()).Equals(key)) continue;
-    out->push_back(DecodeEntry(layout_, cur->record().data()));
+    const uint8_t* rec = cur->record().data();
+    if (filter.has_value() && tally.Compare(*filter, rec) != 0) continue;
+    out->push_back(DecodeEntry(layout_, rec));
   }
   return Status::OK();
 }

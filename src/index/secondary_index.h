@@ -2,6 +2,7 @@
 #define CHRONOQUEL_INDEX_SECONDARY_INDEX_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "env/env.h"
 #include "storage/hash_file.h"
 #include "storage/heap_file.h"
+#include "storage/key_compare.h"
 #include "storage/storage_file.h"
 #include "types/schema.h"
 
@@ -126,6 +128,13 @@ class SecondaryIndex {
                                    bool in_history_store) const;
   static IndexEntryRef DecodeEntry(const RecordLayout& layout,
                                    const uint8_t* rec);
+
+  /// Cursor over the entries of `file` that may equal `key`.  A heap
+  /// structure yields every entry and sets `*filter` to the encoded key the
+  /// caller must match; a hash structure yields only equal entries.
+  Result<std::unique_ptr<Cursor>> OpenMatches(StorageFile* file,
+                                              const Value& key,
+                                              std::optional<KeyProbe>* filter);
 
   /// Finds the slot of entry (key, tid) in `file`.
   Result<Tid> FindEntry(StorageFile* file, const Value& key, Tid tid);

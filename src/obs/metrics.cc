@@ -157,7 +157,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     for (int i = 0; i <= last; ++i) hs.buckets.push_back(h->bucket(i));
     snap.histograms[name] = std::move(hs);
   }
+  uint64_t key_compares = 0;
   for (const auto& [file, pm] : pagers_) {
+    key_compares += pm->key_compares.value();
     snap.counters["bufpool." + file + ".requests"] = pm->requests.value();
     snap.counters["bufpool." + file + ".hits"] = pm->hits.value();
     snap.counters["bufpool." + file + ".misses"] = pm->misses.value();
@@ -166,6 +168,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.counters["pager." + file + ".write_pages"] = pm->write_pages.value();
     snap.counters["pager." + file + ".syncs"] = pm->syncs.value();
   }
+  if (!pagers_.empty()) snap.counters["storage.key_compares"] = key_compares;
   return snap;
 }
 

@@ -96,6 +96,7 @@ struct PagerMetrics {
   Counter read_pages;   // physical page reads
   Counter write_pages;  // physical page writes
   Counter syncs;        // fsync calls
+  Counter key_compares; // stored keys compared with a probe or bound
 };
 
 /// Point-in-time dump of one histogram.

@@ -7,6 +7,8 @@
 
 namespace tdb {
 
+class KeyProbe;
+
 /// A B+-tree organization (`modify R to btree on k`) — the Section 6
 /// extension the paper contemplates: an access method that "adapts to
 /// dynamic growth better" than static hashing / ISAM, at the price of
@@ -67,7 +69,7 @@ class BtreeFile : public StorageFile {
       : StorageFile(layout), pager_(std::move(pager)) {}
 
   /// Descends from the root to the leaf covering `key`.
-  Result<uint32_t> FindLeaf(const Value& key);
+  Result<uint32_t> FindLeaf(const KeyProbe& key);
   /// Leftmost leaf of the tree.
   Result<uint32_t> LeftmostLeaf();
 

@@ -12,18 +12,41 @@ BufferPool::Stats BufferPool::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
   s.frames = frames_.size();
-  s.resident = index_.size();
+  s.resident = resident_;
   return s;
 }
 
-BufferPool::Frame* BufferPool::Find(const Pager* p, uint32_t pno) const {
-  auto it = index_.find({p, pno});
-  return it == index_.end() ? nullptr : it->second;
+BufferPool::Frame* BufferPool::Find(const Pager* p, uint32_t pno) {
+  const std::vector<Frame*>& by_pno = p->pool_table_.by_pno;
+  return pno < by_pno.size() ? by_pno[pno] : nullptr;
 }
 
-bool BufferPool::PinnedByOwner(const Frame* f) const {
-  auto it = last_.find(f->owner);
-  return it != last_.end() && it->second == f;
+std::vector<BufferPool::Frame*> BufferPool::SortedResident(const Pager* p) {
+  std::vector<Frame*> frames = p->pool_table_.resident;
+  std::sort(frames.begin(), frames.end(),
+            [](const Frame* a, const Frame* b) { return a->pno < b->pno; });
+  return frames;
+}
+
+bool BufferPool::PinnedByOwner(const Frame* f) {
+  return f->owner->pool_table_.pinned == f;
+}
+
+void BufferPool::Attach(Frame* f, Pager* p, uint32_t pno, IoCategory cat,
+                        bool dirty) {
+  FrameTable& table = p->pool_table_;
+  f->owner = p;
+  f->pno = pno;
+  f->category = cat;
+  f->dirty = dirty;
+  f->last_use = ++tick_;
+  f->generation.fetch_add(1, std::memory_order_relaxed);
+  if (pno >= table.by_pno.size()) table.by_pno.resize(pno + 1, nullptr);
+  table.by_pno[pno] = f;
+  f->resident_pos = table.resident.size();
+  table.resident.push_back(f);
+  table.pinned = f;
+  ++resident_;
 }
 
 Status BufferPool::Detach(Frame* f, bool flush_dirty) {
@@ -32,12 +55,17 @@ Status BufferPool::Detach(Frame* f, bool flush_dirty) {
                                           f->category));
     ++stats_.write_backs;
   }
-  index_.erase({f->owner, f->pno});
-  auto it = last_.find(f->owner);
-  if (it != last_.end() && it->second == f) last_.erase(it);
-  // The owner's outstanding frame pointers (and record slices cut from
-  // them) die with this frame; trip its generation check.
-  f->owner->BumpGeneration();
+  FrameTable& table = f->owner->pool_table_;
+  table.by_pno[f->pno] = nullptr;
+  Frame* moved = table.resident.back();
+  table.resident[f->resident_pos] = moved;
+  moved->resident_pos = f->resident_pos;
+  table.resident.pop_back();
+  if (table.pinned == f) table.pinned = nullptr;
+  --resident_;
+  // Outstanding pointers into this frame (and record slices cut from it)
+  // die with it; trip their generation check.
+  f->generation.fetch_add(1, std::memory_order_relaxed);
   f->owner = nullptr;
   f->pno = kNoPage;
   f->dirty = false;
@@ -50,22 +78,17 @@ Result<BufferPool::Frame*> BufferPool::Victim(Pager* p) {
   // replacement, evictions and dirty write-backs included.  The requester's
   // own pinned frame is fair game: the Pager contract already invalidates
   // the previous pointer on the next ReadPage/AllocatePage.
-  if (opts_.per_file_frames > 0) {
-    Frame* own_lru = nullptr;
-    int own_count = 0;
-    for (auto it = index_.lower_bound({p, 0});
-         it != index_.end() && it->first.first == p; ++it) {
-      ++own_count;
-      if (own_lru == nullptr || it->second->last_use < own_lru->last_use) {
-        own_lru = it->second;
-      }
+  const std::vector<Frame*>& own = p->pool_table_.resident;
+  if (opts_.per_file_frames > 0 &&
+      static_cast<int>(own.size()) >= opts_.per_file_frames) {
+    Frame* own_lru = own.front();
+    for (Frame* f : own) {
+      if (f->last_use < own_lru->last_use) own_lru = f;
     }
-    if (own_count >= opts_.per_file_frames) {
-      ++stats_.evictions;
-      if (p->metrics() != nullptr) p->metrics()->evictions.Increment();
-      TDB_RETURN_NOT_OK(Detach(own_lru, /*flush_dirty=*/true));
-      return own_lru;
-    }
+    ++stats_.evictions;
+    if (p->metrics() != nullptr) p->metrics()->evictions.Increment();
+    TDB_RETURN_NOT_OK(Detach(own_lru, /*flush_dirty=*/true));
+    return own_lru;
   }
   if (!free_.empty()) {
     Frame* f = free_.back();
@@ -88,8 +111,9 @@ Result<BufferPool::Frame*> BufferPool::Victim(Pager* p) {
       best = f;
       break;
     }
-    if (f->owner != p && (f->dirty || PinnedByOwner(f))) continue;
-    if (f->owner == p && PinnedByOwner(f) && opts_.per_file_frames == 0) {
+    const bool pinned = PinnedByOwner(f);
+    if (f->owner != p && (f->dirty || pinned)) continue;
+    if (f->owner == p && pinned && opts_.per_file_frames == 0) {
       // Uncapped mode: prefer not to cannibalize our own pinned frame
       // unless nothing else is evictable.
       continue;
@@ -123,27 +147,19 @@ Result<uint8_t*> BufferPool::ReadPage(Pager* p, uint32_t pno,
   if (f != nullptr) {
     ++stats_.hits;
     f->last_use = ++tick_;
-    last_[p] = f;
+    p->pool_table_.pinned = f;
     return f->data.data();
   }
   ++stats_.misses;
   TDB_ASSIGN_OR_RETURN(f, Victim(p));
   TDB_RETURN_NOT_OK(p->LoadFrom(pno, f->data.data(), /*count=*/true, cat));
-  f->owner = p;
-  f->pno = pno;
-  f->category = cat;
-  f->dirty = false;
-  f->last_use = ++tick_;
-  index_[{p, pno}] = f;
-  last_[p] = f;
-  p->BumpGeneration();
+  Attach(f, p, pno, cat, /*dirty=*/false);
   return f->data.data();
 }
 
 void BufferPool::MarkDirty(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = last_.find(p);
-  if (it != last_.end()) it->second->dirty = true;
+  if (p->pool_table_.pinned != nullptr) p->pool_table_.pinned->dirty = true;
 }
 
 Status BufferPool::ReadPageInto(Pager* p, uint32_t pno, IoCategory cat,
@@ -168,15 +184,11 @@ Status BufferPool::PrimeFrame(Pager* p, uint32_t pno, IoCategory cat) {
     // Uncounted: the parallel workers already charged this page's read;
     // this only restores the frame state a serial scan would have left.
     TDB_RETURN_NOT_OK(p->LoadFrom(pno, f->data.data(), /*count=*/false, cat));
-    f->owner = p;
-    f->pno = pno;
-    f->category = cat;
-    f->dirty = false;
-    index_[{p, pno}] = f;
-    p->BumpGeneration();
+    Attach(f, p, pno, cat, /*dirty=*/false);
+    return Status::OK();
   }
   f->last_use = ++tick_;
-  last_[p] = f;
+  p->pool_table_.pinned = f;
   return Status::OK();
 }
 
@@ -185,34 +197,22 @@ Result<uint8_t*> BufferPool::AllocatePage(Pager* p, uint32_t pno,
   std::lock_guard<std::mutex> lock(mu_);
   TDB_ASSIGN_OR_RETURN(Frame * f, Victim(p));
   std::memset(f->data.data(), 0, opts_.page_size);
-  f->owner = p;
-  f->pno = pno;
-  f->category = cat;
-  f->dirty = true;
-  f->last_use = ++tick_;
-  index_[{p, pno}] = f;
-  last_[p] = f;
-  p->BumpGeneration();
+  Attach(f, p, pno, cat, /*dirty=*/true);
   return f->data.data();
 }
 
 std::vector<uint32_t> BufferPool::ResidentPages(const Pager* p) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint32_t> pnos;
-  for (auto it = index_.lower_bound({p, 0});
-       it != index_.end() && it->first.first == p; ++it) {
-    pnos.push_back(it->first.second);
-  }
+  for (const Frame* f : SortedResident(p)) pnos.push_back(f->pno);
   return pnos;
 }
 
 Status BufferPool::Flush(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Ascending page order (the index is sorted by (pager, pno)) for a
-  // deterministic write sequence; identical to the private path at 1 frame.
-  for (auto it = index_.lower_bound({p, 0});
-       it != index_.end() && it->first.first == p; ++it) {
-    Frame* f = it->second;
+  // Ascending page order for a deterministic write sequence; identical to
+  // the private path at 1 frame.
+  for (Frame* f : SortedResident(p)) {
     if (!f->dirty) continue;
     TDB_RETURN_NOT_OK(p->WriteBack(f->pno, f->data.data(), f->category));
     ++stats_.write_backs;
@@ -223,30 +223,21 @@ Status BufferPool::Flush(Pager* p) {
 
 Status BufferPool::FlushAndDrop(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.lower_bound({p, 0});
-  while (it != index_.end() && it->first.first == p) {
-    Frame* f = it->second;
-    ++it;  // Detach erases the current entry.
+  for (Frame* f : SortedResident(p)) {
     TDB_RETURN_NOT_OK(Detach(f, /*flush_dirty=*/true));
     free_.push_back(f);
   }
-  last_.erase(p);
-  p->BumpGeneration();
   return Status::OK();
 }
 
 void BufferPool::DiscardAll(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.lower_bound({p, 0});
-  while (it != index_.end() && it->first.first == p) {
-    Frame* f = it->second;
-    ++it;
+  while (!p->pool_table_.resident.empty()) {
+    Frame* f = p->pool_table_.resident.back();
     f->dirty = false;  // aborted writes must not reach disk
     (void)Detach(f, /*flush_dirty=*/false);
     free_.push_back(f);
   }
-  last_.erase(p);
-  p->BumpGeneration();
 }
 
 }  // namespace tdb

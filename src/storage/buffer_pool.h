@@ -1,11 +1,10 @@
 #ifndef CHRONOQUEL_STORAGE_BUFFER_POOL_H_
 #define CHRONOQUEL_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "storage/io_stats.h"
@@ -29,20 +28,30 @@ class Pager;
 /// frame-pointer invalidation points as a private one-frame pager, which the
 /// differential tests in tests/buffer_pool_test.cc verify byte-for-byte.
 ///
-/// Threading: one mutex guards all pool state.  Parallel scan workers from
-/// different files (PR 7) may call in concurrently; the pin rule below keeps
-/// their frame pointers stable.  The pool NEVER writes back a frame on
-/// behalf of a foreign pager — journal hooks and IoCounters are
-/// single-threaded per owner — so eviction considers only clean foreign
-/// frames (bumping the owner's generation so its stale pointers trip the
-/// debug generation check) or the requester's own frames.
+/// Index: each pager carries its own frame table (`FrameTable`, a member of
+/// the Pager, guarded by this pool's mutex): a vector indexed by page
+/// number holding the resident frame or null, the list of its resident
+/// frames, and its pinned frame.  A hit, MarkDirty and the pin test are
+/// therefore O(1) with no shared lookup structure; Flush, FlushAndDrop and
+/// DiscardAll sort the pager's resident frames into ascending page order.
 ///
-/// Pinning: a pager's most recently returned frame is pinned against
-/// FOREIGN eviction until its next ReadPage/AllocatePage — that is exactly
-/// the lifetime the Pager API already grants the returned pointer.  The
-/// requester itself may still replace its own pinned frame (at
-/// per_file_frames == 1 it always does), matching the single-frame
-/// pointer-invalidation contract.
+/// Threading: one mutex guards all pool state, the frame tables included.
+/// Parallel scan workers from different files may call in
+/// concurrently; the pin rule below keeps their frame pointers stable.  The
+/// pool NEVER writes back a frame on behalf of a foreign pager — journal
+/// hooks and IoCounters are single-threaded per owner — so eviction
+/// considers only clean foreign frames or the requester's own frames.  Each
+/// frame carries a generation, bumped whenever it is detached or
+/// (re)loaded; RecordBatch's debug stale-slice check compares it lock-free,
+/// so evicting one frame never invalidates slices of another.
+///
+/// Pinning: a pager's most recently returned frame (`FrameTable::pinned`)
+/// is pinned against FOREIGN eviction until its next ReadPage/AllocatePage
+/// — exactly the lifetime the Pager API already grants the returned
+/// pointer.  The requester itself may still replace its own pinned frame
+/// (at per_file_frames == 1 it always does), matching the single-frame
+/// pointer-invalidation contract.  Only the owner's own calls move the pin,
+/// so the owner may read it without the mutex.
 class BufferPool {
  public:
   struct Options {
@@ -88,6 +97,17 @@ class BufferPool {
     bool dirty = false;
     IoCategory category = IoCategory::kData;
     uint64_t last_use = 0;
+    /// Index of this frame in its owner's FrameTable::resident.
+    size_t resident_pos = 0;
+    /// Bumped on every detach and (re)load of this frame.
+    std::atomic<uint64_t> generation{0};
+  };
+
+  /// One pager's frames (a member of the Pager, guarded by `mu_`).
+  struct FrameTable {
+    std::vector<Frame*> by_pno;    // resident frame of each page, or null
+    std::vector<Frame*> resident;  // the same frames, in no order
+    Frame* pinned = nullptr;       // the frame last returned to the owner
   };
 
   // The Pager-facing surface (all take the pool mutex; called only from
@@ -106,19 +126,20 @@ class BufferPool {
   void DiscardAll(Pager* p);
 
   // All require mu_ held.
-  Frame* Find(const Pager* p, uint32_t pno) const;
+  static Frame* Find(const Pager* p, uint32_t pno);
+  /// `p`'s resident frames in ascending page order.
+  static std::vector<Frame*> SortedResident(const Pager* p);
   Result<Frame*> Victim(Pager* p);
+  /// Makes `f` hold page `pno` of `p` (the contents are the caller's job).
+  void Attach(Frame* f, Pager* p, uint32_t pno, IoCategory cat, bool dirty);
   Status Detach(Frame* f, bool flush_dirty);
-  bool PinnedByOwner(const Frame* f) const;
+  static bool PinnedByOwner(const Frame* f);
 
   mutable std::mutex mu_;
   const Options opts_;
   std::vector<std::unique_ptr<Frame>> frames_;
   std::vector<Frame*> free_;
-  std::map<std::pair<const Pager*, uint32_t>, Frame*> index_;
-  /// Per-pager most recently returned frame (the pinned one); MarkDirty
-  /// targets it.
-  std::map<const Pager*, Frame*> last_;
+  size_t resident_ = 0;
   uint64_t tick_ = 0;
   Stats stats_;
 };

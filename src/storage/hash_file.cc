@@ -1,72 +1,43 @@
 #include "storage/hash_file.h"
 
+#include <cmath>
 #include <cstring>
 
-#include "storage/chain_cursor.h"
+#include "storage/key_compare.h"
+#include "storage/slot_walk.h"
 
 namespace tdb {
 
 namespace {
 
-/// Linear full scan over every page of the file (primary + overflow), with
-/// per-page category accounting.
-class HashScanCursor : public Cursor {
+/// One bucket's chain — the primary page and every page linked through
+/// next_overflow — filtered to the records whose key equals the probe.
+/// The whole chain is read (and counted) whatever matches: the "hashed
+/// access reads the entire ever-lengthening chain" behaviour the paper
+/// analyzes.
+class ChainCursor : public SlotWalkCursor<ChainCursor> {
  public:
-  HashScanCursor(HashFile* file, Pager* pager, const RecordLayout& layout)
-      : file_(file), pager_(pager), layout_(layout) {}
-
-  Result<bool> Next() override {
-    while (true) {
-      if (page_ >= pager_->page_count()) return false;
-      TDB_ASSIGN_OR_RETURN(uint8_t* frame,
-                           pager_->ReadPage(page_, file_->CategoryOf(page_)));
-      Page page(frame, layout_.record_size, pager_->usable_size());
-      while (slot_ < page.capacity()) {
-        uint16_t s = slot_++;
-        if (page.SlotUsed(s)) {
-          record_.assign(page.RecordAt(s),
-                         page.RecordAt(s) + layout_.record_size);
-          tid_ = Tid{page_, s};
-          return true;
-        }
-      }
-      ++page_;
-      slot_ = 0;
-    }
-  }
-
-  Result<size_t> NextBatch(RecordBatch* batch, size_t max) override {
-    // Zero-copy page-at-a-time gather; cut at every page fetch so slices
-    // only ever alias the single resident frame.
-    while (true) {
-      if (page_ >= pager_->page_count()) return 0;
-      TDB_ASSIGN_OR_RETURN(uint8_t* frame,
-                           pager_->ReadPage(page_, file_->CategoryOf(page_)));
-      Page page(frame, layout_.record_size, pager_->usable_size());
-      size_t n = 0;
-      while (slot_ < page.capacity() && n < max) {
-        uint16_t s = slot_++;
-        if (!page.SlotUsed(s)) continue;
-        batch->AppendSlice(page.RecordAt(s), Tid{page_, s});
-        ++n;
-      }
-      if (slot_ >= page.capacity()) {
-        ++page_;
-        slot_ = 0;
-      }
-      if (n > 0) {
-        batch->SetSource(pager_);
-        return n;
-      }
-    }
-  }
+  ChainCursor(const HashFile* file, Pager* pager, const RecordLayout& layout,
+              uint32_t bucket, KeyProbe probe)
+      : SlotWalkCursor(pager, layout.record_size, bucket),
+        file_(file),
+        key_offset_(layout.key_offset),
+        probe_(std::move(probe)),
+        tally_(pager) {}
 
  private:
-  HashFile* file_;
-  Pager* pager_;
-  RecordLayout layout_;
-  uint32_t page_ = 0;
-  uint16_t slot_ = 0;
+  friend class SlotWalkCursor<ChainCursor>;
+  bool HavePage() const { return page_ != kNoPage; }
+  void PageDone(const Page& page) { page_ = page.next_overflow(); }
+  IoCategory CategoryOf(uint32_t pno) const { return file_->CategoryOf(pno); }
+  bool Accept(const uint8_t* rec) {
+    return tally_.Compare(probe_, rec + key_offset_) == 0;
+  }
+
+  const HashFile* file_;
+  int key_offset_;
+  KeyProbe probe_;
+  CompareTally tally_;
 };
 
 }  // namespace
@@ -178,14 +149,30 @@ Status HashFile::Erase(const Tid& tid) {
 
 Result<std::unique_ptr<Cursor>> HashFile::Scan() {
   return std::unique_ptr<Cursor>(
-      new HashScanCursor(this, pager_.get(), layout_));
+      new LinearCursor(this, pager_.get(), layout_.record_size));
+}
+
+uint32_t HashFile::ProbeBucket(const Value& key) const {
+  // A numeric probe of another type than the key lives where the stored key
+  // it equals was hashed: f8 keys hash as doubles, integer keys as integers
+  // (a fractional probe equals no integer key; any bucket answers it).
+  if (key.is_numeric()) {
+    if (layout_.key_type == TypeId::kFloat8) {
+      return BucketOf(Value::Float8(key.AsDouble()));
+    }
+    const double d = key.AsDouble();
+    if (key.type() == TypeId::kFloat8 && std::trunc(d) == d &&
+        std::fabs(d) < 9.2e18) {
+      return BucketOf(Value::Int4(static_cast<int64_t>(d)));
+    }
+  }
+  return BucketOf(key);
 }
 
 Result<std::unique_ptr<Cursor>> HashFile::ScanKey(const Value& key) {
-  uint32_t bucket = BucketOf(key);
+  TDB_ASSIGN_OR_RETURN(KeyProbe probe, KeyProbe::Encode(layout_, key));
   return std::unique_ptr<Cursor>(new ChainCursor(
-      pager_.get(), layout_, bucket,
-      [this](uint32_t pno) { return CategoryOf(pno); }, key));
+      this, pager_.get(), layout_, ProbeBucket(key), std::move(probe)));
 }
 
 Result<std::vector<uint8_t>> HashFile::Fetch(const Tid& tid) {

@@ -2,69 +2,9 @@
 
 #include <cstring>
 
+#include "storage/slot_walk.h"
+
 namespace tdb {
-
-namespace {
-
-/// Visits every used slot of pages [0, page_count) in order.
-class LinearCursor : public Cursor {
- public:
-  LinearCursor(Pager* pager, const RecordLayout& layout, IoCategory cat)
-      : pager_(pager), layout_(layout), cat_(cat) {}
-
-  Result<bool> Next() override {
-    while (true) {
-      if (page_ >= pager_->page_count()) return false;
-      TDB_ASSIGN_OR_RETURN(uint8_t* frame, pager_->ReadPage(page_, cat_));
-      Page page(frame, layout_.record_size, pager_->usable_size());
-      while (slot_ < page.capacity()) {
-        uint16_t s = slot_++;
-        if (page.SlotUsed(s)) {
-          record_.assign(page.RecordAt(s),
-                         page.RecordAt(s) + layout_.record_size);
-          tid_ = Tid{page_, s};
-          return true;
-        }
-      }
-      ++page_;
-      slot_ = 0;
-    }
-  }
-
-  Result<size_t> NextBatch(RecordBatch* batch, size_t max) override {
-    // Zero-copy: slices alias the frame of the page just read, so the batch
-    // is cut at every page fetch — identical I/O order/counts to Next().
-    while (true) {
-      if (page_ >= pager_->page_count()) return 0;
-      TDB_ASSIGN_OR_RETURN(uint8_t* frame, pager_->ReadPage(page_, cat_));
-      Page page(frame, layout_.record_size, pager_->usable_size());
-      size_t n = 0;
-      while (slot_ < page.capacity() && n < max) {
-        uint16_t s = slot_++;
-        if (!page.SlotUsed(s)) continue;
-        batch->AppendSlice(page.RecordAt(s), Tid{page_, s});
-        ++n;
-      }
-      if (slot_ >= page.capacity()) {
-        ++page_;
-        slot_ = 0;
-      }
-      if (n > 0) {
-        batch->SetSource(pager_);
-        return n;
-      }
-    }
-  }
-
- private:
-  Pager* pager_;
-  RecordLayout layout_;
-  IoCategory cat_;
-  uint32_t page_ = 0;
-  uint16_t slot_ = 0;
-};
-
-}  // namespace
 
 Result<std::unique_ptr<HeapFile>> HeapFile::Open(std::unique_ptr<Pager> pager,
                                                  const RecordLayout& layout,
@@ -181,7 +121,7 @@ Status HeapFile::Erase(const Tid& tid) {
 
 Result<std::unique_ptr<Cursor>> HeapFile::Scan() {
   return std::unique_ptr<Cursor>(
-      new LinearCursor(pager_.get(), layout_, category_));
+      new LinearCursor(this, pager_.get(), layout_.record_size));
 }
 
 Result<std::unique_ptr<Cursor>> HeapFile::ScanKey(const Value&) {

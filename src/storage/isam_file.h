@@ -9,6 +9,8 @@
 
 namespace tdb {
 
+class KeyProbe;
+
 /// Shape of an ISAM file's static directory, persisted in the catalog.
 /// Disk layout of the file:
 ///   pages [0, data_pages)                     sorted primary data pages
@@ -98,7 +100,7 @@ class IsamFile : public StorageFile {
 
   /// Resolves the primary data page whose key range covers `key` by walking
   /// the directory root-to-leaf (the reads are the query's *fixed* cost).
-  Result<uint32_t> LookupDataPage(const Value& key);
+  Result<uint32_t> LookupDataPage(const KeyProbe& key);
 
  private:
   IsamFile(std::unique_ptr<Pager> pager, const RecordLayout& layout,

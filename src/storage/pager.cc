@@ -32,14 +32,15 @@ Pager::Pager(std::unique_ptr<RandomRWFile> file, std::string path,
   if (pool_ != nullptr) {
     pool_cap_ = pool_->per_file_frames();
   } else {
-    frames_.resize(static_cast<size_t>(frames));
+    frames_ = std::vector<Frame>(static_cast<size_t>(frames));
     for (Frame& frame : frames_) frame.data.resize(page_size_);
   }
 }
 
 Pager::~Pager() {
   if (pool_ != nullptr) {
-    (void)pool_->FlushAndDrop(this);
+    // No frame may outlive its owner in the pool, written back or not.
+    if (!pool_->FlushAndDrop(this).ok()) pool_->DiscardAll(this);
   } else {
     (void)Flush();
   }
@@ -198,7 +199,7 @@ Result<uint8_t*> Pager::ReadPage(uint32_t pno, IoCategory cat) {
     frame->pno = pno;
     frame->category = cat;
     frame->dirty = false;
-    BumpGeneration();
+    frame->generation.fetch_add(1, std::memory_order_relaxed);
   }
   frame->last_use = ++tick_;
   last_touched_ = frame;
@@ -248,7 +249,7 @@ Status Pager::PrimeFrame(uint32_t pno, IoCategory cat) {
     frame->pno = pno;
     frame->category = cat;
     frame->dirty = false;
-    BumpGeneration();
+    frame->generation.fetch_add(1, std::memory_order_relaxed);
   }
   frame->last_use = ++tick_;
   last_touched_ = frame;
@@ -276,8 +277,8 @@ Result<uint32_t> Pager::AllocatePage(IoCategory cat) {
     frame->category = cat;
     frame->dirty = true;
     frame->last_use = ++tick_;
+    frame->generation.fetch_add(1, std::memory_order_relaxed);
     last_touched_ = frame;
-    BumpGeneration();
     data = frame->data.data();
   }
   // Format a valid empty page header (no overflow link).
@@ -304,9 +305,7 @@ Status Pager::Flush() {
 Status Pager::FlushAndDrop() {
   if (pool_ != nullptr) return pool_->FlushAndDrop(this);
   TDB_RETURN_NOT_OK(Flush());
-  for (Frame& frame : frames_) frame.pno = kNoPage;
-  last_touched_ = nullptr;
-  BumpGeneration();
+  ForgetFrames();
   return Status::OK();
 }
 
@@ -314,16 +313,7 @@ Status Pager::Reset() {
   if (journal_ != nullptr) {
     TDB_RETURN_NOT_OK(journal_->BeforeTruncate(path_, file_.get(), 0));
   }
-  if (pool_ != nullptr) {
-    pool_->DiscardAll(this);
-  } else {
-    for (Frame& frame : frames_) {
-      frame.pno = kNoPage;
-      frame.dirty = false;
-    }
-    last_touched_ = nullptr;
-  }
-  BumpGeneration();
+  DiscardAll();
   page_count_ = 0;
   return file_->Truncate(0);
 }
@@ -332,13 +322,28 @@ void Pager::DiscardAll() {
   if (pool_ != nullptr) {
     pool_->DiscardAll(this);
   } else {
-    for (Frame& frame : frames_) {
-      frame.pno = kNoPage;
-      frame.dirty = false;
-    }
-    last_touched_ = nullptr;
+    ForgetFrames();
   }
-  BumpGeneration();
+}
+
+void Pager::ForgetFrames() {
+  for (Frame& frame : frames_) {
+    if (frame.pno != kNoPage) {
+      frame.generation.fetch_add(1, std::memory_order_relaxed);
+    }
+    frame.pno = kNoPage;
+    frame.dirty = false;
+  }
+  last_touched_ = nullptr;
+}
+
+const std::atomic<uint64_t>* Pager::frame_generation() const {
+  if (pool_ != nullptr) {
+    // Only this pager's own calls move its pin (see BufferPool).
+    const BufferPool::Frame* f = pool_table_.pinned;
+    return f == nullptr ? nullptr : &f->generation;
+  }
+  return last_touched_ == nullptr ? nullptr : &last_touched_->generation;
 }
 
 }  // namespace tdb

@@ -9,14 +9,13 @@
 #include <vector>
 
 #include "env/env.h"
+#include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
 #include "storage/journal.h"
 #include "storage/page.h"
 #include "util/status.h"
 
 namespace tdb {
-
-class BufferPool;
 
 /// Production-storage knobs for one file (ROADMAP item 3).  The defaults
 /// reproduce the paper's measurement discipline exactly: 1024-byte pages,
@@ -143,17 +142,16 @@ class Pager {
     return pool_ != nullptr ? pool_cap_ : static_cast<int>(frames_.size());
   }
 
-  /// Monotonic count of frame-content changes: bumped whenever any frame is
-  /// (re)loaded, allocated, or invalidated (ReadPage miss, AllocatePage,
-  /// FlushAndDrop, DiscardAll, Reset — and, in pool mode, whenever the
-  /// shared pool recycles one of this file's frames for another file).  A
-  /// frame pointer returned by ReadPage — and every record slice cut from
-  /// it — is valid only while the generation is unchanged; batch consumers
-  /// snapshot it and assert (debug builds) before dereferencing their
-  /// slices.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
+  /// Generation of the frame the last ReadPage/AllocatePage returned (null
+  /// before the first).  A frame's generation is bumped whenever it is
+  /// detached or (re)loaded: a ReadPage miss or AllocatePage that recycles
+  /// it, FlushAndDrop, DiscardAll, Reset — and, in pool mode, the shared
+  /// pool evicting it for any file.  A frame pointer returned by ReadPage —
+  /// and every record slice cut from it — still holds its page while the
+  /// frame's generation is unchanged; batch consumers snapshot it and
+  /// assert (debug builds) before dereferencing their slices.  Read by the
+  /// owning thread only.
+  const std::atomic<uint64_t>* frame_generation() const;
 
   /// Truncates to zero pages (used by `modify`, which rebuilds the file).
   Status Reset();
@@ -167,6 +165,7 @@ class Pager {
     bool dirty = false;
     IoCategory category = IoCategory::kData;
     uint64_t last_use = 0;
+    std::atomic<uint64_t> generation{0};
   };
 
   Pager(std::unique_ptr<RandomRWFile> file, std::string path,
@@ -196,9 +195,9 @@ class Pager {
   /// AllocatePage.
   Status GrowFile();
   void NoteRequest(bool hit);
-  void BumpGeneration() {
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Forgets every private frame's page (dirty ones too), invalidating
+  /// their outstanding pointers.
+  void ForgetFrames();
 
   void StampChecksum(uint8_t* data) const;
   Status VerifyChecksum(const uint8_t* data, uint32_t pno) const;
@@ -221,7 +220,9 @@ class Pager {
   std::vector<Frame> frames_;
   Frame* last_touched_ = nullptr;
   uint64_t tick_ = 0;
-  std::atomic<uint64_t> generation_{0};
+  /// This file's frames in the shared pool (pool mode only); owned here,
+  /// guarded by the pool's mutex.
+  BufferPool::FrameTable pool_table_;
 };
 
 }  // namespace tdb
