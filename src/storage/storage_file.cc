@@ -34,7 +34,8 @@ Result<size_t> Cursor::NextBatch(RecordBatch* batch, size_t max) {
   return n;
 }
 
-Value RecordLayout::KeyFromBytes(const uint8_t* p) const {
+Value RecordLayout::KeyOf(const uint8_t* rec) const {
+  const uint8_t* p = rec + key_offset;
   switch (key_type) {
     case TypeId::kInt1: {
       int8_t v;

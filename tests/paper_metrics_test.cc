@@ -88,6 +88,43 @@ TEST(PaperMetricsTest, RepeatedMeasurementIsStable) {
   EXPECT_EQ(first->output_pages, second->output_pages);
 }
 
+// The key compares of Q09 and Q10 (the keyed-probe joins) on the paper
+// database — temporal, 100% loading, update count 15 — are as deterministic
+// as their page counts: every probe compares each stored key of the chain
+// or page group it reads exactly once.  Pinned at both page sizes.
+TEST(PaperMetricsTest, KeyComparesOfTheKeyedJoins) {
+  struct Pinned {
+    uint32_t page_size;
+    uint64_t q09;
+    uint64_t q10;
+  };
+  for (const Pinned& pinned :
+       {Pinned{1024, 253952, 261120}, Pinned{4096, 1015808, 1020928}}) {
+    SCOPED_TRACE(testing::Message() << "page size " << pinned.page_size);
+    WorkloadConfig config;
+    config.type = DbType::kTemporal;
+    config.fillfactor = 100;
+    config.page_size = pinned.page_size;
+    auto created = BenchmarkDb::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto bench = std::move(created).value();
+    while (bench->update_count() < 15) {
+      ASSERT_TRUE(bench->UniformUpdateRound().ok());
+    }
+    auto compares_of = [&](int qnum) -> uint64_t {
+      const uint64_t before =
+          bench->db()->Snapshot().counter("storage.key_compares");
+      auto m = bench->RunQuery(qnum);
+      EXPECT_TRUE(m.ok()) << m.status().ToString();
+      return bench->db()->Snapshot().counter("storage.key_compares") - before;
+    };
+    EXPECT_EQ(compares_of(9), pinned.q09);
+    EXPECT_EQ(compares_of(10), pinned.q10);
+    // A second run compares exactly as much again.
+    EXPECT_EQ(compares_of(9), pinned.q09);
+  }
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace tdb
