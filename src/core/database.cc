@@ -43,7 +43,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     if (db->journal_ != nullptr) db->journal_->set_metrics(m);
   }
   TDB_RETURN_NOT_OK(db->catalog_.Load());
-  db->RestoreClock();
+  TDB_RETURN_NOT_OK(db->RestoreClock());
   db->default_session_ =
       std::unique_ptr<Session>(new Session(db.get(), 0, SessionOptions{}));
   return db;
@@ -130,28 +130,44 @@ std::unique_ptr<Session> Database::CreateSession(SessionOptions options) {
   return std::unique_ptr<Session>(new Session(this, id, std::move(options)));
 }
 
-void Database::PersistClock() const {
+Result<std::optional<TimePoint>> Database::PersistClock(TimePoint stamp) {
   // clock_mu_ held across the file write so journal-off concurrent writers
   // cannot tear the clock file.  Lock order: the journal's WriterLock ->
   // clock_mu_.
   std::lock_guard<std::mutex> lock(clock_mu_);
+  if (stamp <= clock_ceiling_) return std::optional<TimePoint>();
+  const TimePoint ceiling = stamp.AddSeconds(kClockCeilingStep);
   if (journal_ != nullptr) {
-    (void)journal_->BeforeFileRewrite(ClockPath());
+    TDB_RETURN_NOT_OK(journal_->BeforeFileRewrite(ClockPath()));
   }
-  (void)env_->WriteStringToFile(ClockPath(),
-                                StrPrintf("%d", now_.seconds()));
+  TDB_RETURN_NOT_OK(env_->WriteStringToFile(
+      ClockPath(), StrPrintf("%d", ceiling.seconds())));
+  if (journal_ == nullptr) {
+    // Nothing can roll the file back: the new ceiling holds now.
+    clock_ceiling_ = ceiling;
+    return std::optional<TimePoint>();
+  }
+  return std::optional<TimePoint>(ceiling);
 }
 
-void Database::RestoreClock() {
-  if (!env_->FileExists(ClockPath())) return;
-  auto text = env_->ReadFileToString(ClockPath());
-  if (!text.ok()) return;
+void Database::RaiseClockCeiling(TimePoint ceiling) {
+  std::lock_guard<std::mutex> lock(clock_mu_);
+  clock_ceiling_ = std::max(clock_ceiling_, ceiling);
+}
+
+Status Database::RestoreClock() {
+  if (!env_->FileExists(ClockPath())) return Status::OK();
+  TDB_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(ClockPath()));
   int64_t secs = 0;
-  if (ParseInt64(Trim(*text), &secs)) {
-    TimePoint persisted(static_cast<int32_t>(secs));
-    // Resume strictly after the last recorded transaction instant.
-    if (persisted >= now_) now_ = persisted.AddSeconds(1);
+  if (!ParseInt64(Trim(text), &secs) || secs < INT32_MIN || secs > INT32_MAX) {
+    return Status::Corruption("clock file '" + ClockPath() +
+                              "' does not hold a time: '" + text + "'");
   }
+  clock_ceiling_ = TimePoint(static_cast<int32_t>(secs));
+  // Resume strictly after the ceiling, which is at or past every committed
+  // transaction instant.
+  if (clock_ceiling_ >= now_) now_ = clock_ceiling_.AddSeconds(1);
+  return Status::OK();
 }
 
 TimePoint Database::AcquireTxTime() {

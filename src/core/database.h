@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include <vector>
@@ -171,6 +172,11 @@ class Database {
   /// Like Plan(), rendered: the multi-line plan tree `explain` would print.
   Result<std::string> Explain(const std::string& text);
 
+  /// How far past the stamp that writes it the persisted clock ceiling
+  /// lies, in logical seconds: a reopened database resumes after the
+  /// ceiling, up to this much past the last stamp.
+  static constexpr int64_t kClockCeilingStep = 3600;
+
   TimePoint now() const {
     std::lock_guard<std::mutex> lock(clock_mu_);
     return now_;
@@ -249,10 +255,21 @@ class Database {
   /// The logical clock is persisted alongside the catalog so that a
   /// reopened database resumes *after* every recorded transaction time —
   /// otherwise "now" would rewind and rollback views would hide recent
-  /// updates.
+  /// updates.  The file holds a ceiling, not the last stamp: the stamp that
+  /// wrote it plus kClockCeilingStep logical seconds, so a writer rewrites
+  /// it only when its stamp passes the ceiling.
   std::string ClockPath() const { return dir_ + "/clock"; }
-  void PersistClock() const;
-  void RestoreClock();
+  /// Persists a new ceiling when `stamp` passes the current one, through
+  /// the journal when there is one.  With a journal, returns the new
+  /// ceiling, which the writer publishes with RaiseClockCeiling once its
+  /// batch commits (a rolled-back batch restores the old file, so the old
+  /// ceiling stands); without one the new ceiling holds at once.  Returns
+  /// nullopt when nothing was written.
+  Result<std::optional<TimePoint>> PersistClock(TimePoint stamp);
+  void RaiseClockCeiling(TimePoint ceiling);
+  /// Resumes the clock one second after the persisted ceiling.  A missing
+  /// clock file is a new database; an unreadable or unparsable one fails.
+  Status RestoreClock();
 
   Env* env_;
   std::string dir_;
@@ -288,6 +305,9 @@ class Database {
   /// Owns the embedded API's registry/relations/ranges.
   std::unique_ptr<Session> default_session_;
   TimePoint now_;  // guarded by clock_mu_
+  /// The ceiling the clock file holds for every committed batch; no stamp
+  /// at or below it needs a clock write.  Guarded by clock_mu_.
+  TimePoint clock_ceiling_ = TimePoint::Beginning();
 };
 
 }  // namespace tdb

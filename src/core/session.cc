@@ -816,7 +816,15 @@ Result<ExecResult> Session::ExecuteStatement(Statement* stmt) {
       TDB_RETURN_NOT_OK(journal->Begin());
     }
     result = RunStatement(stmt, exec);
-    if (result.ok() && lp.data_mutating) db_->PersistClock();
+    std::optional<TimePoint> new_ceiling;
+    if (result.ok() && lp.data_mutating) {
+      Result<std::optional<TimePoint>> persisted = db_->PersistClock(stmt_now);
+      if (persisted.ok()) {
+        new_ceiling = *persisted;
+      } else {
+        result = persisted.status();
+      }
+    }
     if (result.ok() && lp.writes) {
       Status commit = [&]() -> Status {
         // Write back dirty frames before the exclusive lock drops, so other
@@ -833,6 +841,7 @@ Result<ExecResult> Session::ExecuteStatement(Statement* stmt) {
           }
         }
         TDB_ASSIGN_OR_RETURN(ticket, journal->CommitGroup());
+        if (new_ceiling.has_value()) db_->RaiseClockCeiling(*new_ceiling);
         wait_durable = journal->mode() == DurabilityMode::kJournalSync;
         return Status::OK();
       }();

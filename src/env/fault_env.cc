@@ -79,6 +79,11 @@ uint64_t FaultEnv::op_count() const {
   return ops_;
 }
 
+uint64_t FaultEnv::sync_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return syncs_;
+}
+
 bool FaultEnv::crashed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return crashed_;
@@ -102,6 +107,7 @@ FaultEnv::Decision FaultEnv::NextOp(bool is_write, bool is_sync) {
   }
   if (is_sync && fail_sync_at_ != 0 && syncs_ == fail_sync_at_) {
     d.fail = true;
+    d.sync_failed = true;
     return d;
   }
   if (is_write && fail_write_at_ != 0 && writes_ == fail_write_at_) {
@@ -153,9 +159,12 @@ Result<std::string> FaultEnv::ReadFileToString(const std::string& path) {
 
 Status FaultEnv::WriteStringToFile(const std::string& path,
                                    const std::string& data) {
-  Decision d = NextOp(/*is_write=*/true, /*is_sync=*/false);
+  Decision d = NextOp(/*is_write=*/true, /*is_sync=*/true);
   if (!d.fail) return base_->WriteStringToFile(path, data);
-  if (d.partial_bytes != UINT64_MAX) {
+  if (d.sync_failed) {
+    // The content landed; only the closing fsync reported an error.
+    TDB_RETURN_NOT_OK(base_->WriteStringToFile(path, data));
+  } else if (d.partial_bytes != UINT64_MAX) {
     // A torn whole-file rewrite leaves only the prefix, exactly as a crash
     // between truncate and the final write would.
     size_t keep = static_cast<size_t>(std::min<uint64_t>(

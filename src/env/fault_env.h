@@ -19,7 +19,10 @@ namespace tdb {
 /// Write / Truncate / Sync, and env-level DeleteFile / RenameFile /
 /// WriteStringToFile — consumes one operation index, counted from 0 in
 /// execution order.  Reads never count and never fail, so a test can always
-/// inspect the resulting file image.
+/// inspect the resulting file image.  WriteStringToFile is one operation
+/// that counts as both a Write and a Sync, as the POSIX env ends a
+/// whole-file rewrite with an fsync: sync_count() then equals the fsyncs a
+/// PosixEnv would issue.
 ///
 /// Three fault styles:
 ///   * CrashAt(k): operation k and everything after it fail with an
@@ -30,7 +33,8 @@ namespace tdb {
 ///     modeling a torn page / short sector write.
 ///   * FailSyncAt(n): the nth Sync (1-based) returns an IOError once;
 ///     state is not frozen — later operations succeed.  Models a transient
-///     EIO from fsync.
+///     EIO from fsync.  A WriteStringToFile failing this way has written
+///     its whole content first.
 ///   * FailWriteShort(n, b): the nth Write (1-based) persists only its
 ///     first b bytes and returns an IOError once.  Models ENOSPC-style
 ///     short writes.
@@ -62,6 +66,10 @@ class FaultEnv : public Env {
   /// Mutating operations seen so far (failed ones included).
   uint64_t op_count() const;
 
+  /// Syncs seen so far (failed ones included), WriteStringToFile's among
+  /// them.
+  uint64_t sync_count() const;
+
   /// True once CrashAt has triggered.
   bool crashed() const;
 
@@ -87,6 +95,8 @@ class FaultEnv : public Env {
     /// For writes when failing: bytes to apply before reporting the fault
     /// (UINT64_MAX = none).
     uint64_t partial_bytes = UINT64_MAX;
+    /// The failure is FailSyncAt's: a write-and-sync applies in full.
+    bool sync_failed = false;
   };
 
   /// Consumes one operation index and scores it against the script.

@@ -122,6 +122,18 @@ Result<ExecResult> DdlExecutor::Destroy(const DestroyStmt& stmt) {
 
 namespace {
 
+/// Writes back a file that `modify` built through its own pager, and under
+/// kJournalSync fsyncs it too.  That pager dies before the statement
+/// commits, and the commit syncs only the pagers of open relations — which
+/// skip their fsync when they themselves wrote nothing.
+Status FinishBuiltFile(Pager* pager, const Journal* journal) {
+  TDB_RETURN_NOT_OK(pager->Flush());
+  if (journal == nullptr || journal->mode() != DurabilityMode::kJournalSync) {
+    return Status::OK();
+  }
+  return pager->Sync();
+}
+
 struct StoredVersion {
   std::vector<uint8_t> rec;
   bool is_current = false;
@@ -271,7 +283,7 @@ Result<ExecResult> DdlExecutor::Modify(const ModifyStmt& stmt) {
       for (const auto& rec : primary_records()) {
         TDB_RETURN_NOT_OK(heap->Insert(rec.data(), rec.size(), nullptr));
       }
-      TDB_RETURN_NOT_OK(heap->pager()->Flush());
+      TDB_RETURN_NOT_OK(FinishBuiltFile(heap->pager(), env_.journal));
       break;
     }
     case Organization::kHash: {
@@ -285,7 +297,7 @@ Result<ExecResult> DdlExecutor::Modify(const ModifyStmt& stmt) {
       for (const auto& rec : primary_records()) {
         TDB_RETURN_NOT_OK(hash->Insert(rec.data(), rec.size(), nullptr));
       }
-      TDB_RETURN_NOT_OK(hash->pager()->Flush());
+      TDB_RETURN_NOT_OK(FinishBuiltFile(hash->pager(), env_.journal));
       break;
     }
     case Organization::kIsam: {
@@ -297,7 +309,7 @@ Result<ExecResult> DdlExecutor::Modify(const ModifyStmt& stmt) {
           auto isam,
           IsamFile::BulkLoad(std::move(pager), layout, primary_records(),
                              stmt.fillfactor, &meta.isam));
-      TDB_RETURN_NOT_OK(isam->pager()->Flush());
+      TDB_RETURN_NOT_OK(FinishBuiltFile(isam->pager(), env_.journal));
       break;
     }
     case Organization::kBtree: {
@@ -311,7 +323,7 @@ Result<ExecResult> DdlExecutor::Modify(const ModifyStmt& stmt) {
       for (const auto& rec : primary_records()) {
         TDB_RETURN_NOT_OK(btree->Insert(rec.data(), rec.size(), nullptr));
       }
-      TDB_RETURN_NOT_OK(btree->pager()->Flush());
+      TDB_RETURN_NOT_OK(FinishBuiltFile(btree->pager(), env_.journal));
       break;
     }
   }

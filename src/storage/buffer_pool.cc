@@ -208,11 +208,24 @@ std::vector<uint32_t> BufferPool::ResidentPages(const Pager* p) const {
   return pnos;
 }
 
+Status BufferPool::LogDirtyPreImages(Pager* p,
+                                     const std::vector<Frame*>& frames) {
+  if (p->journal_ == nullptr) return Status::OK();
+  std::vector<uint32_t> dirty;
+  for (const Frame* f : frames) {
+    if (f->dirty) dirty.push_back(f->pno);
+  }
+  return p->LogPreImages(dirty);
+}
+
 Status BufferPool::Flush(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
   // Ascending page order for a deterministic write sequence; identical to
-  // the private path at 1 frame.
-  for (Frame* f : SortedResident(p)) {
+  // the private path at 1 frame.  The journal logs every dirty page's
+  // pre-image first, with one sync for the whole flush.
+  std::vector<Frame*> frames = SortedResident(p);
+  TDB_RETURN_NOT_OK(LogDirtyPreImages(p, frames));
+  for (Frame* f : frames) {
     if (!f->dirty) continue;
     TDB_RETURN_NOT_OK(p->WriteBack(f->pno, f->data.data(), f->category));
     ++stats_.write_backs;
@@ -223,7 +236,9 @@ Status BufferPool::Flush(Pager* p) {
 
 Status BufferPool::FlushAndDrop(Pager* p) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (Frame* f : SortedResident(p)) {
+  std::vector<Frame*> frames = SortedResident(p);
+  TDB_RETURN_NOT_OK(LogDirtyPreImages(p, frames));
+  for (Frame* f : frames) {
     TDB_RETURN_NOT_OK(Detach(f, /*flush_dirty=*/true));
     free_.push_back(f);
   }

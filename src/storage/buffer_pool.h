@@ -130,6 +130,9 @@ class BufferPool {
   /// `p`'s resident frames in ascending page order.
   static std::vector<Frame*> SortedResident(const Pager* p);
   Result<Frame*> Victim(Pager* p);
+  /// Journals the pre-images of the dirty frames among `frames` (all
+  /// `p`'s) with one sync, before a flush writes them back.
+  static Status LogDirtyPreImages(Pager* p, const std::vector<Frame*>& frames);
   /// Makes `f` hold page `pno` of `p` (the contents are the caller's job).
   void Attach(Frame* f, Pager* p, uint32_t pno, IoCategory cat, bool dirty);
   Status Detach(Frame* f, bool flush_dirty);

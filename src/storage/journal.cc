@@ -267,24 +267,36 @@ Status Journal::CaptureWholeFile(const std::string& path, FileState* fs) {
   return Status::OK();
 }
 
+Status Journal::LogPageImage(const std::string& path, RandomRWFile* file,
+                             FileState* fs, uint32_t pno) {
+  uint64_t end = (static_cast<uint64_t>(pno) + 1) * page_size_;
+  if (fs->whole_file_captured || end > fs->batch_start_size ||
+      !fs->pages_logged.insert(pno).second) {
+    return Status::OK();
+  }
+  Record rec;
+  rec.type = kPageImage;
+  rec.path = path;
+  rec.pno = pno;
+  rec.payload.resize(page_size_);
+  // Read the pre-image straight from the file, bypassing the pager so the
+  // paper's page-I/O accounting never sees journal traffic.
+  TDB_RETURN_NOT_OK(file->Read(static_cast<uint64_t>(pno) * page_size_,
+                               page_size_, rec.payload.data()));
+  return AppendRecord(rec);
+}
+
 Status Journal::BeforePageWrite(const std::string& path, RandomRWFile* file,
                                 uint32_t pno) {
+  return BeforePageWrites(path, file, {pno});
+}
 
-  if (!active_) return Status::OK();
+Status Journal::BeforePageWrites(const std::string& path, RandomRWFile* file,
+                                 const std::vector<uint32_t>& pnos) {
+  if (pnos.empty() || !active_) return Status::OK();
   TDB_ASSIGN_OR_RETURN(FileState * fs, EnsureFileLogged(path, file));
-  uint64_t end = (static_cast<uint64_t>(pno) + 1) * page_size_;
-  if (!fs->whole_file_captured && end <= fs->batch_start_size &&
-      fs->pages_logged.insert(pno).second) {
-    Record rec;
-    rec.type = kPageImage;
-    rec.path = path;
-    rec.pno = pno;
-    rec.payload.resize(page_size_);
-    // Read the pre-image straight from the file, bypassing the pager so the
-    // paper's page-I/O accounting never sees journal traffic.
-    TDB_RETURN_NOT_OK(file->Read(static_cast<uint64_t>(pno) * page_size_,
-                                 page_size_, rec.payload.data()));
-    TDB_RETURN_NOT_OK(AppendRecord(rec));
+  for (uint32_t pno : pnos) {
+    TDB_RETURN_NOT_OK(LogPageImage(path, file, fs, pno));
   }
   return SyncPending();
 }

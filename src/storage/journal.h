@@ -53,7 +53,7 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 ///   2. Before any byte of database state is overwritten in place, the
 ///      owner of that state calls a Before*() hook and the journal appends
 ///      the *pre-image* — the first time only, per page / file per batch:
-///        * BeforePageWrite: the 1024-byte on-disk page payload,
+///        * BeforePageWrite / BeforePageWrites: the on-disk page payload,
 ///        * BeforeTruncate (shrink) / BeforeDeleteFile / BeforeFileRewrite:
 ///          the whole file,
 ///        * any first mutation: the file's batch-start size (so rollback
@@ -61,13 +61,20 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 ///          created mid-batch).
 ///      In kJournalSync mode the appended records are fsynced before the
 ///      hook returns, so the pre-image always reaches stable storage
-///      before the overwrite it protects.
+///      before the overwrite it protects.  A pager's Flush logs all its
+///      dirty pages through one BeforePageWrites call — one sync per
+///      flushed file, not one per page — and a hook that appends nothing
+///      does not sync.  The clock file is rewritten (and so pre-imaged)
+///      only when a stamp passes its persisted ceiling.
 ///   3. CommitGroup() appends a commit-mark record (after the caller has
-///      flushed — and in kJournalSync synced — the data files) and returns
-///      a ticket.  The caller drops its WriterLock, then
+///      flushed — and in kJournalSync synced — the data files; a pager
+///      that wrote nothing since its last sync skips its fsync) and
+///      returns a ticket.  The caller drops its WriterLock, then
 ///      WaitDurable(ticket) makes the mark durable: one fsync covers every
 ///      mark appended so far, so overlapping writers share it (group
-///      commit).
+///      commit).  A one-page temporal replace therefore commits with three
+///      fsyncs: the flush's pre-images, the data file, and the mark — the
+///      first two under the locks.
 ///   4. Rollback() re-applies the batch's pre-images in reverse order,
 ///      returning every file to its batch-start image.
 ///
@@ -173,8 +180,16 @@ class Journal {
 
   /// Called by the pager before overwriting page `pno` of `path` in place.
   /// Reads the pre-image through `file` without touching any I/O counters.
+  /// A page this batch already logged costs nothing (and, once the journal
+  /// holds nothing unsynced, no fsync either).
   Status BeforePageWrite(const std::string& path, RandomRWFile* file,
                          uint32_t pno);
+
+  /// BeforePageWrite for a set of pages of one file, with ONE sync after
+  /// the last pre-image: a flush logs every dirty page up front, so its
+  /// write loop's per-page hooks find them logged and do not sync again.
+  Status BeforePageWrites(const std::string& path, RandomRWFile* file,
+                          const std::vector<uint32_t>& pnos);
 
   /// Called before `path` is truncated to `new_size` (either direction;
   /// a shrink captures the whole current file).
@@ -221,6 +236,12 @@ class Journal {
   /// dedup state.  `file` may be null (size probed through the env).
   Result<FileState*> EnsureFileLogged(const std::string& path,
                                       RandomRWFile* file);
+
+  /// Appends the pre-image of page `pno` unless this batch already logged
+  /// it, the whole file is captured, or the page lies past the batch-start
+  /// size (rollback truncates it away).  Does not sync.
+  Status LogPageImage(const std::string& path, RandomRWFile* file,
+                      FileState* fs, uint32_t pno);
 
   /// Captures the whole current content of `path` once per batch.
   Status CaptureWholeFile(const std::string& path, FileState* fs);

@@ -131,6 +131,7 @@ Status Pager::WriteBack(uint32_t pno, uint8_t* data, IoCategory cat) {
     TDB_RETURN_NOT_OK(journal_->BeforePageWrite(path_, file_.get(), pno));
   }
   StampChecksum(data);
+  unsynced_ = true;
   TDB_RETURN_NOT_OK(file_->Write(static_cast<uint64_t>(pno) * page_size_,
                                  data, page_size_));
   Count(/*write=*/true, cat, pno);
@@ -151,7 +152,15 @@ Status Pager::GrowFile() {
   if (journal_ != nullptr) {
     TDB_RETURN_NOT_OK(journal_->BeforeTruncate(path_, file_.get(), new_size));
   }
+  unsynced_ = true;
   return file_->Truncate(new_size);
+}
+
+Status Pager::LogPreImages(const std::vector<uint32_t>& pnos) {
+  // A clean flush never touches the journal: ~Pager flushes while another
+  // session's batch may be active.
+  if (journal_ == nullptr || pnos.empty()) return Status::OK();
+  return journal_->BeforePageWrites(path_, file_.get(), pnos);
 }
 
 Pager::Frame* Pager::FindFrame(uint32_t pno) {
@@ -292,12 +301,22 @@ Result<uint32_t> Pager::AllocatePage(IoCategory cat) {
 }
 
 Status Pager::Sync() {
+  if (!unsynced_) return Status::OK();
   if (metrics() != nullptr) metrics()->syncs.Increment();
-  return file_->Sync();
+  TDB_RETURN_NOT_OK(file_->Sync());
+  unsynced_ = false;
+  return Status::OK();
 }
 
 Status Pager::Flush() {
   if (pool_ != nullptr) return pool_->Flush(this);
+  if (journal_ != nullptr) {
+    std::vector<uint32_t> dirty;
+    for (const Frame& frame : frames_) {
+      if (frame.dirty && frame.pno != kNoPage) dirty.push_back(frame.pno);
+    }
+    TDB_RETURN_NOT_OK(LogPreImages(dirty));
+  }
   for (Frame& frame : frames_) TDB_RETURN_NOT_OK(FlushFrame(&frame));
   return Status::OK();
 }
@@ -315,6 +334,7 @@ Status Pager::Reset() {
   }
   DiscardAll();
   page_count_ = 0;
+  unsynced_ = true;
   return file_->Truncate(0);
 }
 

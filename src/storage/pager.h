@@ -120,7 +120,11 @@ class Pager {
   void DiscardAll();
 
   /// Fsyncs the underlying file (the durability point of the commit
-  /// protocol; no-op cost for the in-memory env).
+  /// protocol; no-op cost for the in-memory env) — but only if this pager
+  /// wrote, grew or truncated the file since its last successful Sync.  A
+  /// clean pager returns at once, so a commit that syncs every open
+  /// relation pays only for the files it changed.  Writes made through
+  /// another Pager of the same file are that pager's to sync.
   Status Sync();
 
   uint32_t page_count() const { return page_count_; }
@@ -194,6 +198,9 @@ class Pager {
   /// Journal hook + truncate backing the page_count_ extension of
   /// AllocatePage.
   Status GrowFile();
+  /// Journals the pre-images of the dirty pages `pnos` with one sync, ahead
+  /// of a flush's write loop (whose per-page hooks then find them logged).
+  Status LogPreImages(const std::vector<uint32_t>& pnos);
   void NoteRequest(bool hit);
   /// Forgets every private frame's page (dirty ones too), invalidating
   /// their outstanding pointers.
@@ -212,6 +219,9 @@ class Pager {
   IoCounters* counters_;
   Journal* journal_;
   uint32_t page_count_;
+  /// Set by every write, grow or truncate of the file; cleared by a
+  /// successful Sync.  Owner thread only.
+  bool unsynced_ = false;
   uint32_t page_size_;
   uint32_t usable_size_;
   bool checksum_ = false;

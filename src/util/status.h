@@ -45,7 +45,10 @@ struct StatementContext {
 /// Typical use:
 ///   Status s = file.ReadPage(3, &page);
 ///   if (!s.ok()) return s;
-class Status {
+///
+/// Both Status and Result are [[nodiscard]]: a call whose outcome is dropped
+/// does not compile quietly.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -117,7 +120,7 @@ class Status {
 /// Either a value of type T or an error Status.  Analogous to
 /// absl::StatusOr / arrow::Result.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Implicit construction from a value or an error keeps call sites terse:
   ///   Result<int> F() { return 42; }

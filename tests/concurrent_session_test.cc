@@ -26,6 +26,40 @@
 namespace tdb {
 namespace {
 
+/// A MemEnv whose fsync takes as long as a fast device's.  On plain MemEnv
+/// a commit's fsyncs are free, its writer section lasts microseconds, and
+/// whether two writers ever overlap there is scheduler luck.
+class SlowSyncEnv : public MemEnv {
+ public:
+  Result<std::unique_ptr<RandomRWFile>> OpenOrCreate(
+      const std::string& path) override {
+    TDB_ASSIGN_OR_RETURN(auto file, MemEnv::OpenOrCreate(path));
+    return std::unique_ptr<RandomRWFile>(new SlowSyncFile(std::move(file)));
+  }
+
+ private:
+  class SlowSyncFile : public RandomRWFile {
+   public:
+    explicit SlowSyncFile(std::unique_ptr<RandomRWFile> base)
+        : base_(std::move(base)) {}
+    Status Read(uint64_t offset, size_t n, uint8_t* buf) const override {
+      return base_->Read(offset, n, buf);
+    }
+    Status Write(uint64_t offset, const uint8_t* data, size_t n) override {
+      return base_->Write(offset, data, n);
+    }
+    Result<uint64_t> Size() const override { return base_->Size(); }
+    Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+    Status Sync() override {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return base_->Sync();
+    }
+
+   private:
+    std::unique_ptr<RandomRWFile> base_;
+  };
+};
+
 int64_t Count(Session* s) {
   auto rows = s->Query("retrieve (n = count(e.sal))");
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
@@ -223,14 +257,13 @@ TEST(ConcurrentSessionTest, WritersOnOneRelationSerializeCleanly) {
 }
 
 TEST(ConcurrentSessionTest, GroupCommitSharesFsyncsAcrossWriters) {
-  MemEnv env;
+  // Fsyncs that take time, so writers really overlap in the journal, and a
+  // generous group window, so a leader holds the door open for them.
+  SlowSyncEnv env;
   DatabaseOptions options;
   options.env = &env;
   options.durability = DurabilityMode::kJournalSync;
   options.metrics = true;
-  // A generous group window: MemEnv fsyncs are instant, so without the
-  // leader holding the door open there would be nothing to batch and the
-  // test would measure scheduler luck instead of the mechanism.
   options.group_commit_window_micros = 2000;
   auto db = Database::Open("/db", options);
   ASSERT_TRUE(db.ok());

@@ -3,10 +3,13 @@
 // The matrix test freezes the file image at *every* mutating env-operation
 // index k (a simulated power cut), reopens the database, and asserts the
 // recovered byte image equals exactly the pre- or the post-statement state
-// of whichever statement operation k fell in.  A seeded-random sweep then
-// replays the same contract with randomized crash points, torn-write sizes,
-// and durability modes; failures dump the seed and the journal image to
-// $TDB_CRASH_ARTIFACT_DIR for CI to upload.
+// of whichever statement operation k fell in, and that the recovered clock
+// is later than every transaction stamp the relations hold (the crash
+// points include every op of the clock-ceiling write, which the first
+// append makes).  A seeded-random sweep then replays the same contract
+// with randomized crash points, torn-write sizes, and durability modes;
+// failures dump the seed and the journal image to $TDB_CRASH_ARTIFACT_DIR
+// for CI to upload.
 //
 // Production storage mode rides the same machinery: a second matrix runs
 // the workload on 4096-byte pages, and a dedicated sweep crashes a vacuum
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "clock_test_util.h"
 #include "core/chronoquel.h"
 #include "env/fault_env.h"
 
@@ -150,7 +154,9 @@ std::vector<uint64_t> BoundaryOps(const RunConfig& config) {
 /// the underlying env and returns the recovered digest.  `torn` applies
 /// that many bytes of the crashing write.  The digest is computed after a
 /// second reopen, so the test also proves recovery leaves a state that
-/// recovery accepts as final (idempotence).
+/// recovery accepts as final (idempotence).  A third open checks the clock
+/// oracle: the recovered clock resumes after every stored transaction
+/// stamp, whichever op of the clock-ceiling write the crash cut.
 std::string CrashRunAndRecover(const RunConfig& config, uint64_t k, uint64_t torn,
                                std::string* journal_image_out) {
   MemEnv base;
@@ -185,6 +191,15 @@ std::string CrashRunAndRecover(const RunConfig& config, uint64_t k, uint64_t tor
   }
   EXPECT_EQ(digest, Digest(&base, "/db"))
       << "recovery not idempotent (crash at op " << k << ")";
+  {
+    auto db = Database::Open("/db", Opts(&base, config));
+    EXPECT_TRUE(db.ok()) << "third reopen after crash at op " << k;
+    if (db.ok()) {
+      EXPECT_GT((*db)->now(), testutil::LatestTxStamp(db->get()))
+          << "recovered clock could reissue a stamp (crash at op " << k
+          << ")";
+    }
+  }
   return digest;
 }
 

@@ -158,12 +158,16 @@ TEST_F(DatabaseTest, ClauseApplicabilityErrors) {
   Exec("range of r is r");
   Exec("range of h is h");
   // Static relations accept neither when nor as-of.
-  ExecErr("retrieve (s.id) when s overlap \"now\"");
-  ExecErr("retrieve (s.id) as of \"now\"");
+  EXPECT_EQ(ExecErr("retrieve (s.id) when s overlap \"now\"").code(),
+            StatusCode::kBindError);
+  EXPECT_EQ(ExecErr("retrieve (s.id) as of \"now\"").code(),
+            StatusCode::kBindError);
   // Rollback relations have no valid time -> no when.
-  ExecErr("retrieve (r.id) when r overlap \"now\"");
+  EXPECT_EQ(ExecErr("retrieve (r.id) when r overlap \"now\"").code(),
+            StatusCode::kBindError);
   // Historical relations have no transaction time -> no as-of.
-  ExecErr("retrieve (h.id) as of \"now\"");
+  EXPECT_EQ(ExecErr("retrieve (h.id) as of \"now\"").code(),
+            StatusCode::kBindError);
   // But the applicable clauses work.
   Exec("retrieve (r.id) as of \"now\"");
   Exec("retrieve (h.id) when h overlap \"now\"");

@@ -114,6 +114,23 @@ TEST_F(FaultEnvTest, FailWriteShortPersistsPrefixOnce) {
   EXPECT_EQ(Content(&base_, "/f"), "aaaa");
 }
 
+// A whole-file rewrite counts as a write and a sync (one operation), as the
+// POSIX env ends it with an fsync; a failed sync leaves the content written.
+TEST_F(FaultEnvTest, WriteStringToFileEndsWithASync) {
+  auto file = fault_.OpenOrCreate("/f");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  ASSERT_TRUE(fault_.WriteStringToFile("/g", "abc").ok());
+  EXPECT_EQ(fault_.sync_count(), 2u);
+  EXPECT_EQ(fault_.op_count(), 2u);
+
+  fault_.FailSyncAt(3);
+  Status s = fault_.WriteStringToFile("/g", "xyz");
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_EQ(Content(&base_, "/g"), "xyz");
+  EXPECT_EQ(fault_.sync_count(), 3u);
+}
+
 TEST_F(FaultEnvTest, TornWriteStringToFile) {
   fault_.CrashAt(0);
   fault_.set_torn_write_bytes(3);
