@@ -229,12 +229,40 @@ const RelationStats* Catalog::FindStats(const std::string& name) const {
 
 void Catalog::SetStats(const std::string& name, RelationStats stats) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_[ToLower(name)] = std::move(stats);
+  const std::string key = ToLower(name);
+  const int64_t rows = static_cast<int64_t>(stats.rows);
+  auto [it, first] = row_tracks_.try_emplace(key);
+  it->second.rows = rows;
+  if (first) {
+    it->second.base = rows;
+  } else {
+    AdvanceEpoch(&it->second);
+  }
+  stats_[key] = std::move(stats);
 }
 
-void Catalog::InvalidateStats(const std::string& name) {
+void Catalog::InvalidateStats(const std::string& name, int64_t row_delta) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.erase(ToLower(name));
+  const std::string key = ToLower(name);
+  stats_.erase(key);
+  auto it = row_tracks_.find(key);
+  if (it == row_tracks_.end()) return;
+  it->second.rows = std::max<int64_t>(0, it->second.rows + row_delta);
+  AdvanceEpoch(&it->second);
+}
+
+uint64_t Catalog::StatsEpoch(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  auto it = row_tracks_.find(ToLower(name));
+  return it == row_tracks_.end() ? 0 : it->second.epoch;
+}
+
+void Catalog::AdvanceEpoch(RowTrack* t) {
+  if (t->rows >= 2 * std::max<int64_t>(t->base, 1) ||
+      (t->base > 0 && 2 * t->rows <= t->base)) {
+    ++t->epoch;
+    t->base = t->rows;
+  }
 }
 
 void Catalog::InvalidateAllStats() {

@@ -130,8 +130,17 @@ class Catalog {
   const RelationStats* FindStats(const std::string& name) const;
   void SetStats(const std::string& name, RelationStats stats);
   /// Drops the cached stats for one relation (any DML/DDL against it).
-  void InvalidateStats(const std::string& name);
+  /// `row_delta` is the change the statement made to the relation's
+  /// version count, which feeds StatsEpoch.
+  void InvalidateStats(const std::string& name, int64_t row_delta = 0);
   void InvalidateAllStats();
+  /// A per-relation counter that moves when the relation's version count
+  /// has doubled or halved since it last moved, counted from the first
+  /// stats computed for it and tracked through DML row deltas after that.
+  /// Cost-planned plan-cache keys carry it: a plan chosen on stats is
+  /// re-planned once the stats have changed that much, and not on every
+  /// write.
+  uint64_t StatsEpoch(const std::string& name) const;
 
   /// The catalog file, written by the first DDL statement.
   std::string CatalogPath() const { return dir_ + "/catalog.meta"; }
@@ -141,8 +150,19 @@ class Catalog {
   std::string dir_;
   Journal* journal_ = nullptr;
   std::map<std::string, RelationMeta> relations_;  // lower-cased name
-  mutable std::mutex stats_mu_;                    // guards stats_ structure
+  /// Version counts behind StatsEpoch: `rows` now, `base` when the epoch
+  /// last moved.
+  struct RowTrack {
+    int64_t base = 0;
+    int64_t rows = 0;
+    uint64_t epoch = 0;
+  };
+  /// Moves `t`'s epoch when its rows doubled or halved since `base`.
+  static void AdvanceEpoch(RowTrack* t);
+
+  mutable std::mutex stats_mu_;  // guards stats_ and row_tracks_
   std::map<std::string, RelationStats> stats_;     // lower-cased name
+  std::map<std::string, RowTrack> row_tracks_;     // lower-cased name
 };
 
 /// Serialization used by Catalog (exposed for tests).

@@ -125,6 +125,11 @@ Status Database::ResolveExecEnv() {
   return Status::OK();
 }
 
+uint64_t Database::NextInstanceId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::unique_ptr<Session> Database::CreateSession(SessionOptions options) {
   const int id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<Session>(new Session(this, id, std::move(options)));

@@ -236,10 +236,13 @@ class Database {
   Database(Env* env, std::string dir, DatabaseOptions options)
       : env_(env),
         dir_(std::move(dir)),
+        instance_id_(NextInstanceId()),
         options_(options),
         catalog_(env, dir_),
         metrics_(options.metrics),
         now_(options.start_time) {}
+
+  static uint64_t NextInstanceId();
 
   /// Stamps a writer: returns the transaction time and advances the clock
   /// atomically, so overlapping writers get distinct stamps.
@@ -273,6 +276,11 @@ class Database {
 
   Env* env_;
   std::string dir_;
+  /// Unique per Database object in the process: plan-cache keys start
+  /// with it, so a database reopened at the same directory (or another
+  /// MemEnv's database at the same path) never meets the plans of an
+  /// earlier one.
+  const uint64_t instance_id_;
   DatabaseOptions options_;
   Catalog catalog_;
   /// Declared before the registries and journal, which hold raw pointers

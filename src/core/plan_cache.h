@@ -9,41 +9,37 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "exec/plan.h"
 #include "tquel/ast.h"
 
 namespace tdb {
 
-/// One cached compiled statement: a self-contained canonical AST plus the
-/// physical-plan template built from it.  Immutable after insertion — every
-/// execution deep-copies the template (ClonePlanForExec) and treats the AST
-/// as read-only, so concurrent sessions can share one entry.
+/// One cached compiled statement: a bound copy of the statement's AST plus
+/// the physical-plan template built from it.  Immutable after insertion —
+/// every execution deep-copies the template (ClonePlanForExec), binds its
+/// arguments into the copy, and treats the AST as read-only, so concurrent
+/// sessions can share one entry.
 ///
-/// The AST is the *canonical* form (the statement printed and re-parsed),
-/// owned by the entry itself: the plan's expression pointers alias it, so
-/// the entry must outlive every clone executing against it — guaranteed by
-/// handing entries out as shared_ptr<const CachedPlan>.
+/// The AST belongs to the entry, not to the session that planned it: the
+/// plan's expression pointers alias it, so the entry must outlive every
+/// clone executing against it — guaranteed by handing entries out as
+/// shared_ptr<const CachedPlan>.  An executing session supplies its own
+/// BoundStatement for the same key; the key fixes its variables.
 struct CachedPlan {
   std::unique_ptr<RetrieveStmt> stmt;
-  /// (range variable, relation) name pairs in bind order.  Each execution
-  /// rebuilds a fresh BoundStatement from these against the live catalog —
-  /// the RelationMeta pointers a BoundStatement holds dangle whenever the
-  /// catalog reloads, so they are never cached.
-  std::vector<std::pair<std::string, std::string>> vars;
   std::shared_ptr<const PhysicalPlan> plan;
 };
 
 /// Process-shared, sharded LRU cache of compiled retrieve plans.
 ///
-/// Keys are flat strings built by the session layer from the database
-/// directory, the canonical statement text, every referenced relation's
-/// version stamp, the catalog generation, and the engine-knob fingerprint
-/// (join method / compiled expressions / vectorized execution).  Any write
-/// to a referenced relation — or any DDL — changes a component of the key,
-/// so stale plans simply never hit again and age out of the LRU: a cache
-/// hit may change CPU cost, never results.
+/// Keys are flat strings built by the session layer (Session::
+/// PlanCacheKeyFor) from what a plan depends on: the Database instance,
+/// the statement text, each variable's relation, the catalog generation,
+/// the engine knobs and, under cost planning, the relations' stats epochs.
+/// DDL moves the generation, so plans outlive data writes but not schema
+/// changes, and stale entries age out of the LRU.  A cache hit may change
+/// CPU cost, never results.
 ///
 /// Sharded by key hash (8 shards, one mutex each) so concurrent sessions
 /// rarely contend; within a shard, lookups refresh LRU position and
@@ -90,7 +86,7 @@ class PlanCache {
 };
 
 /// The process-wide cache every Database shares (entries are keyed by
-/// database directory, so distinct databases never collide).
+/// Database instance, so distinct databases never collide).
 PlanCache& GlobalPlanCache();
 
 }  // namespace tdb

@@ -17,6 +17,8 @@
 #include "exec/query_executor.h"
 #include "tquel/ast.h"
 #include "tquel/binder.h"
+#include "tquel/lexer.h"
+#include "tquel/normalizer.h"
 #include "tquel/parser.h"
 #include "tquel/printer.h"
 #include "util/stringx.h"
@@ -320,6 +322,14 @@ Status Session::DropAllBuffers() {
 
 Result<std::vector<ExecResult>> Session::ExecuteScript(
     const std::string& text) {
+  if (db_->plan_cache_enabled()) {
+    std::optional<ExecResult> implicit = ExecuteImplicit(text);
+    if (implicit.has_value()) {
+      std::vector<ExecResult> results;
+      results.push_back(std::move(*implicit));
+      return results;
+    }
+  }
   TDB_ASSIGN_OR_RETURN(auto stmts, Parser::ParseScript(text));
   if (stmts.empty()) return Status::ParseError("empty statement");
   if (obs::MetricsRegistry* m = db_->metrics()) {
@@ -386,7 +396,7 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec) {
       auto* retrieve = static_cast<RetrieveStmt*>(stmt);
       TDB_ASSIGN_OR_RETURN(BoundStatement bound,
                            binder.BindRetrieve(retrieve));
-      TDB_ASSIGN_OR_RETURN(last, RunRetrieve(retrieve, bound, exec));
+      TDB_ASSIGN_OR_RETURN(last, RunRetrieve(retrieve, bound, nullptr, exec));
       break;
     }
     case Statement::Kind::kAppend: {
@@ -513,9 +523,24 @@ Result<ExecResult> Session::RunStatement(Statement* stmt, ExecEnv& exec) {
 
 const Statement* Session::EffectiveStatement(const Statement* stmt) const {
   if (stmt->kind != Statement::Kind::kExecPrepared) return stmt;
-  auto* ex = static_cast<const ExecPreparedStmt*>(stmt);
-  auto it = prepared_.find(ToLower(ex->name));
-  return it == prepared_.end() ? stmt : it->second.stmt.get();
+  const PreparedEntry* entry =
+      FindPrepared(*static_cast<const ExecPreparedStmt*>(stmt));
+  return entry == nullptr ? stmt : entry->stmt.get();
+}
+
+const Session::PreparedEntry* Session::FindPrepared(
+    const ExecPreparedStmt& ex) const {
+  if (ex.implicit) {
+    auto it = implicit_.find(ex.name);
+    return it == implicit_.end() ? nullptr : &it->second->second;
+  }
+  auto it = prepared_.find(ToLower(ex.name));
+  return it == prepared_.end() ? nullptr : &it->second;
+}
+
+Session::PreparedEntry* Session::FindPrepared(const ExecPreparedStmt& ex) {
+  return const_cast<PreparedEntry*>(
+      static_cast<const Session*>(this)->FindPrepared(ex));
 }
 
 Result<ExecResult> Session::RunPrepare(PrepareStmt* prep, ExecEnv& exec) {
@@ -578,12 +603,12 @@ Result<ExecResult> Session::RunPrepare(PrepareStmt* prep, ExecEnv& exec) {
 
 Result<ExecResult> Session::RunExecPrepared(ExecPreparedStmt* ex,
                                             ExecEnv& exec) {
-  auto it = prepared_.find(ToLower(ex->name));
-  if (it == prepared_.end()) {
+  PreparedEntry* found = FindPrepared(*ex);
+  if (found == nullptr) {
     return Status::NotFound("prepared statement '" + ex->name +
                             "' does not exist");
   }
-  PreparedEntry& entry = it->second;
+  PreparedEntry& entry = *found;
 
   std::vector<Value> args;
   if (ex->use_bound_args) {
@@ -606,21 +631,101 @@ Result<ExecResult> Session::RunExecPrepared(ExecPreparedStmt* ex,
         ex->name.c_str(), entry.param_count, args.size()));
   }
 
-  // The `$N` evaluator reads the arguments through exec.params; the
-  // executors capture the pointer at construction, inside RunStatement.
+  // The `$N` evaluator and compiled programs read the arguments through
+  // exec.params; the executors capture the pointer at construction.
   exec.params = &args;
-  prepared_text_hint_ = &entry.text;
-  Result<ExecResult> result = RunStatement(entry.stmt.get(), exec);
-  prepared_text_hint_ = nullptr;
+  Result<ExecResult> result =
+      entry.stmt->kind == Statement::Kind::kRetrieve
+          ? RunPreparedRetrieve(entry, exec)
+          : RunStatement(entry.stmt.get(), exec);
   exec.params = nullptr;  // args dies with this frame
   return result;
 }
 
+bool Session::BindingStands(const PreparedEntry& entry) const {
+  if (!entry.bound.has_value() || entry.bound_gen != seen_catalog_gen_) {
+    return false;
+  }
+  for (const BoundVar& v : entry.bound->vars) {
+    auto it = ranges_.find(ToLower(v.name));
+    if (it == ranges_.end() || !EqualsIgnoreCase(it->second, v.rel->name)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<ExecResult> Session::RunPreparedRetrieve(PreparedEntry& entry,
+                                                ExecEnv& exec) {
+  auto* stmt = static_cast<RetrieveStmt*>(entry.stmt.get());
+  if (!BindingStands(entry)) {
+    entry.bound.reset();
+    Binder binder(&db_->catalog_, &ranges_);
+    TDB_ASSIGN_OR_RETURN(BoundStatement bound, binder.BindRetrieve(stmt));
+    entry.bound = std::move(bound);
+    entry.bound_gen = seen_catalog_gen_;
+  }
+  if (!PlanCacheable(*stmt)) {
+    // Aggregate folding rewrites the AST it runs on: run a copy, so the
+    // stored statement keeps its aggregates for the next execution.
+    std::unique_ptr<RetrieveStmt> scratch = stmt->Clone();
+    return RunRetrieve(scratch.get(), *entry.bound, nullptr, exec);
+  }
+  return RunRetrieve(stmt, *entry.bound, &entry.text, exec);
+}
+
+std::optional<ExecResult> Session::ExecuteImplicit(const std::string& text) {
+  Result<std::vector<Token>> tokens = Lexer::Tokenize(text);
+  if (!tokens.ok()) return std::nullopt;
+  std::optional<NormalizedRetrieve> norm = NormalizeRetrieve(text, *tokens);
+  if (!norm.has_value()) return std::nullopt;
+
+  auto it = implicit_.find(norm->key);
+  if (it != implicit_.end()) {
+    implicit_lru_.splice(implicit_lru_.begin(), implicit_lru_, it->second);
+  } else {
+    // Prepare: parse the normalized text once.  A shape that does not
+    // parse to one cacheable retrieve is remembered as such.
+    PreparedEntry entry;
+    auto stmts = Parser::ParseScript(norm->text);
+    if (obs::MetricsRegistry* m = db_->metrics()) {
+      m->counter("sql.parses")->Increment();
+    }
+    if (stmts.ok() && stmts->size() == 1 &&
+        (*stmts)[0]->kind == Statement::Kind::kRetrieve &&
+        PlanCacheable(*static_cast<RetrieveStmt*>((*stmts)[0].get()))) {
+      entry.text = norm->text;
+      entry.param_count = static_cast<int>(norm->args.size());
+      entry.stmt = std::move((*stmts)[0]);
+    }
+    implicit_lru_.emplace_front(norm->key, std::move(entry));
+    implicit_[norm->key] = implicit_lru_.begin();
+    if (implicit_lru_.size() > kImplicitStatements) {
+      implicit_.erase(implicit_lru_.back().first);
+      implicit_lru_.pop_back();
+    }
+  }
+  if (implicit_lru_.front().second.stmt == nullptr) return std::nullopt;
+
+  ExecPreparedStmt ex;
+  ex.name = norm->key;
+  ex.implicit = true;
+  ex.bound_args = std::move(norm->args);
+  ex.use_bound_args = true;
+  ex.source_offset = norm->offset;
+  Result<ExecResult> result = ExecuteOne(&ex);
+  if (!result.ok()) return std::nullopt;
+  return std::move(*result);
+}
+
 Result<ExecResult> Session::RunRetrieve(RetrieveStmt* stmt,
                                         const BoundStatement& bound,
+                                        const std::string* key_text,
                                         ExecEnv& exec) {
   if (db_->plan_cache_enabled() && PlanCacheable(*stmt)) {
-    Result<ExecResult> cached = RetrieveViaPlanCache(stmt, bound, exec);
+    Result<ExecResult> cached = RetrieveViaPlanCache(
+        stmt, bound, key_text != nullptr ? *key_text : PrintStatement(*stmt),
+        exec);
     if (cached.ok()) return cached;
     // Any cache-path failure falls through to plan-and-execute: a genuine
     // query error reproduces below; a cache-only artifact (say, an index
@@ -630,76 +735,45 @@ Result<ExecResult> Session::RunRetrieve(RetrieveStmt* stmt,
   return qexec.Retrieve(stmt, bound);
 }
 
-std::string Session::PlanCacheKeyFor(const RetrieveStmt& stmt,
+std::string Session::PlanCacheKeyFor(const std::string& text,
                                      const BoundStatement& bound,
-                                     const ExecEnv& exec) {
-  std::string key = db_->dir_;
+                                     const ExecEnv& exec) const {
+  std::string key = std::to_string(db_->instance_id_);
   key += '\x1f';
-  // A prepared execution already owns the statement's canonical text;
-  // everything else prints it fresh (the printer is deterministic, so the
-  // two spellings of the same statement produce the same key).
-  key += prepared_text_hint_ != nullptr ? *prepared_text_hint_
-                                        : PrintStatement(stmt);
-  std::set<std::string> rels;
-  for (const BoundVar& v : bound.vars) rels.insert(ToLower(v.rel->name));
-  {
-    std::lock_guard<std::mutex> lock(db_->version_mu_);
-    for (const std::string& rel : rels) {
-      auto it = db_->rel_versions_.find(rel);
-      key += '\x1f';
-      key += rel;
-      key += '=';
-      key += std::to_string(it == db_->rel_versions_.end() ? 0 : it->second);
-    }
+  key += text;
+  for (const BoundVar& v : bound.vars) {
     key += '\x1f';
-    key += "g=";
-    key += std::to_string(db_->catalog_gen_);
+    key += ToLower(v.name);
+    key += '=';
+    key += ToLower(v.rel->name);
   }
-  key += StrPrintf("\x1f" "k=%d%d%d", static_cast<int>(exec.join_method),
+  // seen_catalog_gen_ is the generation this statement runs under: it was
+  // read at statement start, and no DDL runs while the statement does.
+  key += StrPrintf("\x1f" "g=%llu k=%d%d%d",
+                   static_cast<unsigned long long>(seen_catalog_gen_),
+                   static_cast<int>(exec.join_method),
                    exec.vector_exec ? 1 : 0, exec.compiled_expr ? 1 : 0);
+  if (exec.join_method != JoinMethod::kPaper) {
+    // Cost planning reads relation stats (BuildPlan's cost_join).
+    for (const BoundVar& v : bound.vars) {
+      key += StrPrintf(" e=%llu", static_cast<unsigned long long>(
+                                      db_->catalog_.StatsEpoch(v.rel->name)));
+    }
+  }
   return key;
 }
 
 Result<std::shared_ptr<const CachedPlan>> Session::BuildCacheEntry(
-    const RetrieveStmt& stmt, ExecEnv& exec) {
-  // Print -> re-parse so the entry owns a self-contained AST the plan's
-  // expression pointers can alias for as long as the entry lives.
-  const std::string text = PrintStatement(stmt);
-  TDB_ASSIGN_OR_RETURN(auto stmts, Parser::ParseScript(text));
-  if (stmts.size() != 1 ||
-      stmts[0]->kind != Statement::Kind::kRetrieve) {
-    return Status::Internal("canonical statement text did not round-trip: " +
-                            text);
-  }
-  auto owned = std::unique_ptr<RetrieveStmt>(
-      static_cast<RetrieveStmt*>(stmts[0].release()));
-  Binder binder(&db_->catalog_, &ranges_);
-  TDB_ASSIGN_OR_RETURN(BoundStatement bound, binder.BindRetrieve(owned.get()));
-  TDB_ASSIGN_OR_RETURN(std::shared_ptr<PhysicalPlan> tmpl,
-                       BuildPlan(*owned, bound, exec));
+    const RetrieveStmt& stmt, const BoundStatement& bound, ExecEnv& exec) {
   auto entry = std::make_shared<CachedPlan>();
-  for (const BoundVar& v : bound.vars) {
-    entry->vars.emplace_back(v.name, v.rel->name);
-  }
-  entry->stmt = std::move(owned);
-  entry->plan = std::move(tmpl);
+  entry->stmt = stmt.Clone();
+  TDB_ASSIGN_OR_RETURN(entry->plan, BuildPlan(*entry->stmt, bound, exec));
   return std::shared_ptr<const CachedPlan>(std::move(entry));
 }
 
 Result<ExecResult> Session::ExecuteCachedPlan(const CachedPlan& entry,
+                                              const BoundStatement& bound,
                                               ExecEnv& exec) {
-  // Rebuild the BoundStatement from names: the RelationMeta pointers a
-  // bound statement holds dangle whenever the catalog reloads, so the
-  // cache never stores them.
-  BoundStatement bound;
-  for (const auto& [var, rel] : entry.vars) {
-    const RelationMeta* meta = db_->catalog_.Find(rel);
-    if (meta == nullptr) {
-      return Status::NotFound("cached plan references dropped relation '" +
-                              rel + "'");
-    }
-    bound.vars.push_back(BoundVar{var, meta});
-  }
   TDB_ASSIGN_OR_RETURN(std::shared_ptr<PhysicalPlan> plan,
                        ClonePlanForExec(*entry.plan, exec));
   QueryExecutor qexec(exec);
@@ -708,12 +782,13 @@ Result<ExecResult> Session::ExecuteCachedPlan(const CachedPlan& entry,
 
 Result<ExecResult> Session::RetrieveViaPlanCache(RetrieveStmt* stmt,
                                                  const BoundStatement& bound,
+                                                 const std::string& key_text,
                                                  ExecEnv& exec) {
-  const std::string key = PlanCacheKeyFor(*stmt, bound, exec);
+  const std::string key = PlanCacheKeyFor(key_text, bound, exec);
   PlanCache& cache = GlobalPlanCache();
   obs::MetricsRegistry* m = db_->metrics();
   if (std::shared_ptr<const CachedPlan> entry = cache.Lookup(key)) {
-    Result<ExecResult> hit = ExecuteCachedPlan(*entry, exec);
+    Result<ExecResult> hit = ExecuteCachedPlan(*entry, bound, exec);
     if (hit.ok()) {
       if (m != nullptr) m->counter("plancache.hits")->Increment();
       return hit;
@@ -722,9 +797,9 @@ Result<ExecResult> Session::RetrieveViaPlanCache(RetrieveStmt* stmt,
   }
   if (m != nullptr) m->counter("plancache.misses")->Increment();
   TDB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
-                       BuildCacheEntry(*stmt, exec));
+                       BuildCacheEntry(*stmt, bound, exec));
   cache.Insert(key, entry);
-  return ExecuteCachedPlan(*entry, exec);
+  return ExecuteCachedPlan(*entry, bound, exec);
 }
 
 Result<ExecResult> Session::Prepare(const std::string& name,
@@ -850,12 +925,22 @@ Result<ExecResult> Session::ExecuteStatement(Statement* stmt) {
     if (!result.ok() && journaled) {
       for (auto& [_, rel] : relations_) rel->DiscardBuffers();
       relations_.clear();
-      TDB_RETURN_NOT_OK(journal->Rollback());
+      Status rolled_back = journal->Rollback();
       if (lp.ddl == StatementLocks::DdlMode::kExclusive) {
         // Only DDL rewrites catalog.meta; reloading it under the shared
         // latch would race other sessions' catalog reads.
-        TDB_RETURN_NOT_OK(db_->catalog_.Load());
+        Status loaded = db_->catalog_.Load();
+        // A reload replaces every RelationMeta, and the files under them
+        // were rebuilt and restored: like a committed DDL, it moves the
+        // generation, so every session drops its handles, bindings and
+        // plans.
+        {
+          std::lock_guard<std::mutex> vlock(db_->version_mu_);
+          seen_catalog_gen_ = ++db_->catalog_gen_;
+        }
+        if (rolled_back.ok()) rolled_back = loaded;
       }
+      TDB_RETURN_NOT_OK(rolled_back);
     }
     batch.reset();
 

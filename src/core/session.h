@@ -1,15 +1,19 @@
 #ifndef CHRONOQUEL_CORE_SESSION_H_
 #define CHRONOQUEL_CORE_SESSION_H_
 
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/relation.h"
 #include "core/result_set.h"
 #include "storage/io_stats.h"
+#include "tquel/binder.h"
 #include "types/timepoint.h"
 #include "types/value.h"
 #include "util/status.h"
@@ -21,7 +25,6 @@ struct Statement;          // tquel/ast.h
 struct RetrieveStmt;       // tquel/ast.h
 struct PrepareStmt;        // tquel/ast.h
 struct ExecPreparedStmt;   // tquel/ast.h
-struct BoundStatement;     // tquel/binder.h
 struct CachedPlan;         // core/plan_cache.h
 struct ExecEnv;            // exec/exec_env.h
 
@@ -56,7 +59,10 @@ class Session {
   ~Session();
 
   /// Statement execution, identical semantics to the Database methods of
-  /// the same names (which delegate here).
+  /// the same names (which delegate here).  With the plan cache on, a text
+  /// that is one plain retrieve runs as an implicit prepared statement:
+  /// its numeric literals become the arguments of a statement prepared
+  /// once per shape (see kImplicitStatements).
   Result<std::vector<ExecResult>> ExecuteScript(const std::string& text);
   Result<ExecResult> Execute(const std::string& text);
   Result<ResultSet> Query(const std::string& text);
@@ -125,39 +131,71 @@ class Session {
   Result<ExecResult> RunPrepare(PrepareStmt* prep, ExecEnv& exec);
 
   /// `execute name (args)`.  Evaluates the argument expressions (or takes
-  /// the wire path's pre-decoded values), re-binds the stored AST against
-  /// the live catalog, and runs it with `exec.params` pointing at the
-  /// argument vector for the `$N` evaluator.
+  /// the wire path's pre-decoded values) and runs the stored statement
+  /// with `exec.params` pointing at the argument vector.
   Result<ExecResult> RunExecPrepared(ExecPreparedStmt* ex, ExecEnv& exec);
+
+  struct PreparedEntry;
+  /// The explicit or implicit prepared statement an `execute` names, or
+  /// null.
+  PreparedEntry* FindPrepared(const ExecPreparedStmt& ex);
+  const PreparedEntry* FindPrepared(const ExecPreparedStmt& ex) const;
+
+  /// Runs a prepared retrieve, re-binding its stored AST only when the
+  /// binding of its last execution no longer stands (BindingStands).
+  Result<ExecResult> RunPreparedRetrieve(PreparedEntry& entry, ExecEnv& exec);
+
+  /// True while `entry`'s last binding is valid: no catalog reload since
+  /// it was made (the generation is unchanged, so its relation metadata
+  /// pointers are live) and every range variable it used still names the
+  /// same relation.
+  bool BindingStands(const PreparedEntry& entry) const;
+
+  // --- implicit prepared statements ---------------------------------------
+
+  /// Runs `text` as an implicit prepared statement when it normalizes to a
+  /// single cacheable retrieve.  Returns nullopt when it does not, and when
+  /// the statement fails: the caller then runs the literal text the usual
+  /// way, which reports exactly the usual error (a retrieve without `into`
+  /// writes nothing, so running it again is safe).
+  std::optional<ExecResult> ExecuteImplicit(const std::string& text);
 
   // --- shared plan cache (DatabaseOptions::plan_cache) -------------------
 
   /// Retrieve entry point: routes through the shared plan cache when the
   /// database enables it and the statement is cacheable, falling back to
   /// plan-and-execute otherwise (and on any cache-path failure — a cache
-  /// hit may change CPU cost, never results).
+  /// hit may change CPU cost, never results).  `key_text` is the
+  /// statement's text for the cache key: a prepared statement's own, or
+  /// null to print the statement.
   Result<ExecResult> RunRetrieve(RetrieveStmt* stmt,
-                                 const BoundStatement& bound, ExecEnv& exec);
+                                 const BoundStatement& bound,
+                                 const std::string* key_text, ExecEnv& exec);
   Result<ExecResult> RetrieveViaPlanCache(RetrieveStmt* stmt,
                                           const BoundStatement& bound,
+                                          const std::string& key_text,
                                           ExecEnv& exec);
 
-  /// The cache key: database directory + canonical statement text + every
-  /// referenced relation's version stamp + catalog generation + engine-knob
-  /// fingerprint.  Any write or DDL moves a component, so stale entries
-  /// never hit.
-  std::string PlanCacheKeyFor(const RetrieveStmt& stmt,
+  /// The cache key: what a plan depends on.  The Database instance, the
+  /// statement text, each bound variable's relation, the catalog
+  /// generation, the engine knobs, and under cost planning each relation's
+  /// stats epoch.  Data writes are not in it: a plan holds no relation
+  /// handle, and the paper planner reads no data.
+  std::string PlanCacheKeyFor(const std::string& text,
                               const BoundStatement& bound,
-                              const ExecEnv& exec);
+                              const ExecEnv& exec) const;
 
-  /// Builds a self-contained cache entry: the statement printed, re-parsed
-  /// (so the entry owns its AST), re-bound, and planned into a template.
+  /// Plans a cache entry from a copy of the bound statement, which the
+  /// entry owns: its plan's expression pointers alias that copy.
   Result<std::shared_ptr<const CachedPlan>> BuildCacheEntry(
-      const RetrieveStmt& stmt, ExecEnv& exec);
+      const RetrieveStmt& stmt, const BoundStatement& bound, ExecEnv& exec);
 
   /// Clones the entry's plan template for this execution and interprets it
-  /// against the entry's (read-only, shared) AST.
-  Result<ExecResult> ExecuteCachedPlan(const CachedPlan& entry, ExecEnv& exec);
+  /// against the entry's (read-only, shared) AST.  `bound` is the
+  /// caller's binding of the same text, which the key made identical.
+  Result<ExecResult> ExecuteCachedPlan(const CachedPlan& entry,
+                                       const BoundStatement& bound,
+                                       ExecEnv& exec);
 
   /// The one statement path: statement locks, a pinned snapshot or an
   /// acquired transaction time, journal group commit, and publishing the
@@ -179,20 +217,28 @@ class Session {
   /// Declared after registry_ (pagers point into it) and destroyed first.
   std::map<std::string, std::unique_ptr<Relation>> relations_;
   std::map<std::string, std::string> ranges_;
-  /// One prepared statement: canonical text (for display), the owned
-  /// parsed AST (re-bound at every execute so DDL between executions is
-  /// picked up), and its `$N` parameter count.
+  /// One prepared statement: its text (the plan-cache key text), the
+  /// owned parsed AST, and its `$N` parameter count.  A retrieve keeps
+  /// the binding of its last execution and the catalog generation it was
+  /// made under; other statements re-bind at every execute.
   struct PreparedEntry {
     std::string text;
     std::unique_ptr<Statement> stmt;
     int param_count = 0;
+    std::optional<BoundStatement> bound;
+    uint64_t bound_gen = 0;
   };
   std::map<std::string, PreparedEntry> prepared_;
-  /// While a prepared statement executes: its stored canonical text, so
-  /// PlanCacheKeyFor can skip re-printing the AST on every execution (the
-  /// printer is deterministic, so the stored text is exactly what a fresh
-  /// print would produce).
-  const std::string* prepared_text_hint_ = nullptr;
+
+  /// Implicit prepared statements, keyed by normalized text plus literal
+  /// types, most recently used first.  An entry without a statement marks
+  /// a shape that did not prepare, so its texts go straight to the usual
+  /// path.  A fixed bound: a client's ad-hoc shapes are few, and an
+  /// evicted shape costs one parse to prepare again.
+  static constexpr size_t kImplicitStatements = 64;
+  std::list<std::pair<std::string, PreparedEntry>> implicit_lru_;
+  std::unordered_map<std::string, decltype(implicit_lru_)::iterator>
+      implicit_;
   /// Last database-wide relation versions this session reconciled with.
   std::map<std::string, uint64_t> seen_versions_;
   uint64_t seen_catalog_gen_ = 0;

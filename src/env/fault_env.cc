@@ -28,7 +28,8 @@ class FaultFile : public RandomRWFile {
   Result<uint64_t> Size() const override { return base_->Size(); }
 
   Status Truncate(uint64_t size) override {
-    FaultEnv::Decision d = env_->NextOp(/*is_write=*/false, /*is_sync=*/false);
+    FaultEnv::Decision d = env_->NextOp(/*is_write=*/false, /*is_sync=*/false,
+                                        /*is_truncate=*/true);
     if (d.fail) return FaultEnv::InjectedError();
     return base_->Truncate(size);
   }
@@ -65,12 +66,17 @@ void FaultEnv::FailWriteShort(uint64_t n, uint64_t bytes) {
   fail_write_bytes_ = bytes;
 }
 
+void FaultEnv::FailTruncateAt(uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fail_truncate_at_ = n;
+}
+
 void FaultEnv::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  ops_ = syncs_ = writes_ = 0;
+  ops_ = syncs_ = writes_ = truncates_ = 0;
   crash_at_ = UINT64_MAX;
   torn_write_bytes_ = UINT64_MAX;
-  fail_sync_at_ = fail_write_at_ = fail_write_bytes_ = 0;
+  fail_sync_at_ = fail_write_at_ = fail_write_bytes_ = fail_truncate_at_ = 0;
   crashed_ = false;
 }
 
@@ -84,16 +90,23 @@ uint64_t FaultEnv::sync_count() const {
   return syncs_;
 }
 
+uint64_t FaultEnv::truncate_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return truncates_;
+}
+
 bool FaultEnv::crashed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return crashed_;
 }
 
-FaultEnv::Decision FaultEnv::NextOp(bool is_write, bool is_sync) {
+FaultEnv::Decision FaultEnv::NextOp(bool is_write, bool is_sync,
+                                    bool is_truncate) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t index = ops_++;
   if (is_write) ++writes_;
   if (is_sync) ++syncs_;
+  if (is_truncate) ++truncates_;
   Decision d;
   if (index >= crash_at_) {
     d.fail = true;
@@ -108,6 +121,11 @@ FaultEnv::Decision FaultEnv::NextOp(bool is_write, bool is_sync) {
   if (is_sync && fail_sync_at_ != 0 && syncs_ == fail_sync_at_) {
     d.fail = true;
     d.sync_failed = true;
+    return d;
+  }
+  if (is_truncate && fail_truncate_at_ != 0 &&
+      truncates_ == fail_truncate_at_) {
+    d.fail = true;
     return d;
   }
   if (is_write && fail_write_at_ != 0 && writes_ == fail_write_at_) {

@@ -24,7 +24,7 @@ namespace tdb {
 /// whole-file rewrite with an fsync: sync_count() then equals the fsyncs a
 /// PosixEnv would issue.
 ///
-/// Three fault styles:
+/// Four fault styles:
 ///   * CrashAt(k): operation k and everything after it fail with an
 ///     IOError and leave the wrapped env untouched — the file image is
 ///     frozen exactly as it was after operation k-1, like a power cut.
@@ -38,6 +38,8 @@ namespace tdb {
 ///   * FailWriteShort(n, b): the nth Write (1-based) persists only its
 ///     first b bytes and returns an IOError once.  Models ENOSPC-style
 ///     short writes.
+///   * FailTruncateAt(n): the nth RandomRWFile Truncate (1-based) returns
+///     an IOError once and leaves the file as it was.
 ///
 /// The wrapper is intended for single-threaded tests but guards its counter
 /// with a mutex so accidental cross-thread use stays well-defined.
@@ -60,6 +62,9 @@ class FaultEnv : public Env {
   /// The `n`th Write (1-based) persists only `bytes` bytes and fails once.
   void FailWriteShort(uint64_t n, uint64_t bytes);
 
+  /// Fail the `n`th Truncate (1-based) once with an IOError.
+  void FailTruncateAt(uint64_t n);
+
   /// Clears the script and all counters (the wrapped env is untouched).
   void Reset();
 
@@ -69,6 +74,9 @@ class FaultEnv : public Env {
   /// Syncs seen so far (failed ones included), WriteStringToFile's among
   /// them.
   uint64_t sync_count() const;
+
+  /// Truncates seen so far (failed ones included).
+  uint64_t truncate_count() const;
 
   /// True once CrashAt has triggered.
   bool crashed() const;
@@ -101,8 +109,8 @@ class FaultEnv : public Env {
 
   /// Consumes one operation index and scores it against the script.
   /// `is_write` enables torn/short-write semantics; `is_sync` enables
-  /// FailSyncAt.
-  Decision NextOp(bool is_write, bool is_sync);
+  /// FailSyncAt; `is_truncate` enables FailTruncateAt.
+  Decision NextOp(bool is_write, bool is_sync, bool is_truncate = false);
 
   static Status InjectedError() {
     return Status::IOError("injected fault: storage is unavailable");
@@ -113,11 +121,13 @@ class FaultEnv : public Env {
   uint64_t ops_ = 0;
   uint64_t syncs_ = 0;
   uint64_t writes_ = 0;
+  uint64_t truncates_ = 0;
   uint64_t crash_at_ = UINT64_MAX;
   uint64_t torn_write_bytes_ = UINT64_MAX;
   uint64_t fail_sync_at_ = 0;    // 1-based; 0 = disabled
   uint64_t fail_write_at_ = 0;   // 1-based; 0 = disabled
   uint64_t fail_write_bytes_ = 0;
+  uint64_t fail_truncate_at_ = 0;  // 1-based; 0 = disabled
   bool crashed_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "exec/compiled_expr.h"
 
+#include "util/stringx.h"
+
 namespace tdb {
 
 namespace {
@@ -127,12 +129,54 @@ bool CompiledProgram::EmitExpr(const Expr& expr) {
       // are compiled; grouped (`by`) aggregates keep their node and look a
       // map up per row — those stay on the Evaluator path.
       return false;
-    case Expr::Kind::kParam:
-      // Parameters resolve against the per-execution argument list, which
-      // compiled programs do not carry — those stay on the Evaluator path.
-      return false;
+    case Expr::Kind::kParam: {
+      // Resolved by BindParams against each execution's arguments.
+      Instr in{Op::kPushParam};
+      in.a = expr.param_index;
+      code_.push_back(std::move(in));
+      return true;
+    }
   }
   return false;
+}
+
+void CompiledProgram::BindParams(const std::vector<Value>& params) {
+  bool changed = false;
+  for (Instr& in : code_) {
+    if (in.op != Op::kPushParam) continue;
+    if (in.a < 1 || static_cast<size_t>(in.a) > params.size()) {
+      in.b = static_cast<int32_t>(params.size());
+      continue;
+    }
+    const Value& v = params[static_cast<size_t>(in.a - 1)];
+    switch (v.type()) {
+      case TypeId::kInt4:
+        in.op = Op::kPushInt;
+        in.ival = v.AsInt();
+        break;
+      case TypeId::kFloat8:
+        in.op = Op::kPushFloat;
+        in.fval = v.AsDouble();
+        break;
+      case TypeId::kChar:
+        in.op = Op::kPushStr;
+        in.sval = v.AsString();
+        break;
+      case TypeId::kTime:
+        in.op = Op::kPushTyped;
+        in.b = static_cast<int32_t>(v.type());
+        in.tval = v.AsTime();
+        break;
+      default:  // kInt1, kInt2
+        in.op = Op::kPushTyped;
+        in.b = static_cast<int32_t>(v.type());
+        in.ival = v.AsInt();
+        break;
+    }
+    changed = true;
+  }
+  // The batch-kernel analysis reads the constants: redo it on this copy.
+  if (changed) batch_cache_.reset();
 }
 
 void CompiledProgram::EmitTemporal(const TemporalExpr& expr) {
@@ -253,6 +297,24 @@ Status CompiledProgram::Run(const Binding& binding, TimePoint now) const {
       case Op::kPushStr:
         vals_.push_back(Value::Char(in.sval));
         break;
+      case Op::kPushTyped:
+        switch (static_cast<TypeId>(in.b)) {
+          case TypeId::kInt1:
+            vals_.push_back(Value::Int1(in.ival));
+            break;
+          case TypeId::kInt2:
+            vals_.push_back(Value::Int2(in.ival));
+            break;
+          default:
+            vals_.push_back(Value::Time(in.tval));
+            break;
+        }
+        break;
+      case Op::kPushParam:
+        return Status::Invalid(
+            StrPrintf("parameter $%d is not bound (statement executed with "
+                      "%d argument(s))",
+                      in.a, in.b));
       case Op::kLoadCol: {
         if (in.a < 0 || static_cast<size_t>(in.a) >= binding.size() ||
             binding[static_cast<size_t>(in.a)] == nullptr) {

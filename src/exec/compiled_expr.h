@@ -48,6 +48,14 @@ class CompiledProgram {
   Kind kind() const { return kind_; }
   size_t size() const { return code_.size(); }
 
+  /// Binds one execution's `$N` arguments into the program as constants,
+  /// so a parameterized program runs exactly as its literal text would —
+  /// batch kernels included.  A `$N` without an argument stays unbound and
+  /// fails at evaluation with the Evaluator's message.  Programs compiled
+  /// from a shared plan template are bound only on their per-execution
+  /// copy.
+  void BindParams(const std::vector<Value>& params);
+
   /// Scalar programs.
   Result<Value> Eval(const Binding& binding, TimePoint now) const;
   Result<bool> EvalBool(const Binding& binding, TimePoint now) const;
@@ -87,6 +95,8 @@ class CompiledProgram {
     kPushInt,     // push Int4(ival)
     kPushFloat,   // push Float8(fval)
     kPushStr,     // push Char(sval)
+    kPushTyped,   // push a bound argument of type b: Int1/Int2(ival), Time(tval)
+    kPushParam,   // `$a`, not bound (BindParams saw b arguments): fails
     kLoadCol,     // push binding[a]->attr(b)
     kAdd, kSub, kMul, kDiv, kMod,
     kCmpEq, kCmpNe, kCmpLt, kCmpLe, kCmpGt, kCmpGe,

@@ -82,7 +82,7 @@ Result<ExecResult> DdlExecutor::Create(const CreateStmt& stmt) {
   return out;
 }
 
-void DdlExecutor::DeleteFiles(const RelationMeta& meta, bool indexes_too) {
+Status DdlExecutor::DeleteFiles(const RelationMeta& meta, bool indexes_too) {
   std::vector<std::string> paths = {
       env_.dir + "/" + meta.DataFileName(),
       env_.dir + "/" + meta.HistoryFileName(),
@@ -98,13 +98,16 @@ void DdlExecutor::DeleteFiles(const RelationMeta& meta, bool indexes_too) {
     }
   }
   for (const std::string& path : paths) {
+    if (!env_.env->FileExists(path)) continue;
     // Pre-image the whole file so destroy / modify roll back to intact
-    // storage if the statement dies after this point.
+    // storage if the statement dies after this point; a file whose
+    // pre-image did not reach the journal must not be deleted.
     if (env_.journal != nullptr) {
-      (void)env_.journal->BeforeDeleteFile(path);
+      TDB_RETURN_NOT_OK(env_.journal->BeforeDeleteFile(path));
     }
-    (void)env_.env->DeleteFile(path);
+    TDB_RETURN_NOT_OK(env_.env->DeleteFile(path));
   }
+  return Status::OK();
 }
 
 Result<ExecResult> DdlExecutor::Destroy(const DestroyStmt& stmt) {
@@ -113,7 +116,7 @@ Result<ExecResult> DdlExecutor::Destroy(const DestroyStmt& stmt) {
     return Status::NotFound("relation '" + stmt.relation + "' does not exist");
   }
   env_.CloseRelation(stmt.relation);
-  DeleteFiles(*meta, /*indexes_too=*/true);
+  TDB_RETURN_NOT_OK(DeleteFiles(*meta, /*indexes_too=*/true));
   TDB_RETURN_NOT_OK(env_.catalog->Drop(stmt.relation));
   ExecResult out;
   out.message = "destroyed relation " + stmt.relation;
@@ -237,7 +240,7 @@ Result<ExecResult> DdlExecutor::Modify(const ModifyStmt& stmt) {
 
   // 2. Drop the old physical files (indexes are rebuilt below).
   env_.CloseRelation(stmt.relation);
-  DeleteFiles(meta, /*indexes_too=*/true);
+  TDB_RETURN_NOT_OK(DeleteFiles(meta, /*indexes_too=*/true));
 
   // 3. New metadata.  CollectAll already drained any vacuum segments, so
   // the rebuilt relation starts with everything back in the active stores.
@@ -750,7 +753,7 @@ Result<ExecResult> DdlExecutor::Copy(const CopyStmt& stmt) {
     ++out.affected;
   }
   TDB_RETURN_NOT_OK(rel->primary()->pager()->Flush());
-  env_.catalog->InvalidateStats(stmt.relation);
+  env_.catalog->InvalidateStats(stmt.relation, out.affected);
   out.message = StrPrintf("copied %lld tuples from %s",
                           static_cast<long long>(out.affected),
                           stmt.path.c_str());

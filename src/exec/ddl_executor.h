@@ -27,8 +27,9 @@ class DdlExecutor {
 
  private:
   /// Deletes every physical file belonging to `meta` (data, history,
-  /// anchors, index files).
-  void DeleteFiles(const RelationMeta& meta, bool indexes_too);
+  /// anchors, index files), each after its journal pre-image; stops at the
+  /// first pre-image or delete that fails.
+  Status DeleteFiles(const RelationMeta& meta, bool indexes_too);
 
   /// Re-derives every secondary index of `name` from its stored versions.
   Status RebuildIndexes(const std::string& name);

@@ -221,7 +221,7 @@ Result<ExecResult> DmlExecutor::Append(AppendStmt* stmt,
         "append from more than one tuple variable is not supported");
   }
   TDB_RETURN_NOT_OK(rel->primary()->pager()->Flush());
-  env_.catalog->InvalidateStats(stmt->relation);
+  env_.catalog->InvalidateStats(stmt->relation, out.affected);
   out.message = StrPrintf("appended %lld tuples to %s",
                           static_cast<long long>(out.affected),
                           stmt->relation.c_str());
@@ -343,7 +343,11 @@ Result<ExecResult> DmlExecutor::Delete(DeleteStmt* stmt,
   if (rel->history() != nullptr) {
     TDB_RETURN_NOT_OK(rel->history()->pager()->Flush());
   }
-  env_.catalog->InvalidateStats(bound.vars[0].rel->name);
+  // A static delete erases its victims; a temporal one closes them.
+  const bool erased = rel->schema().db_type() == DbType::kStatic;
+  env_.catalog->InvalidateStats(
+      bound.vars[0].rel->name,
+      erased ? -static_cast<int64_t>(victims.size()) : 0);
   ExecResult out;
   out.affected = static_cast<int64_t>(victims.size());
   out.message = StrPrintf("deleted %lld tuples",
@@ -415,7 +419,11 @@ Result<ExecResult> DmlExecutor::Replace(ReplaceStmt* stmt,
   if (rel->history() != nullptr) {
     TDB_RETURN_NOT_OK(rel->history()->pager()->Flush());
   }
-  env_.catalog->InvalidateStats(bound.vars[0].rel->name);
+  // A static replace overwrites in place; a temporal one adds versions.
+  const bool in_place = schema.db_type() == DbType::kStatic;
+  env_.catalog->InvalidateStats(
+      bound.vars[0].rel->name,
+      in_place ? 0 : static_cast<int64_t>(victims.size()));
   ExecResult out;
   out.affected = static_cast<int64_t>(victims.size());
   out.message = StrPrintf("replaced %lld tuples",

@@ -1088,4 +1088,93 @@ Result<std::shared_ptr<PhysicalPlan>> ClonePlanForExec(const PhysicalPlan& tmpl,
   return plan;
 }
 
+namespace {
+
+void ForEachNodeProgram(const PlanNode* node,
+                        const std::function<void(const CompiledProgram&)>& fn);
+
+void ForEachFilterProgram(
+    const FilterNode* filter,
+    const std::function<void(const CompiledProgram&)>& fn) {
+  for (const CompiledProgram& p : filter->where_prog) fn(p);
+  for (const CompiledProgram& p : filter->when_prog) fn(p);
+  if (filter->child != nullptr) ForEachNodeProgram(filter->child.get(), fn);
+}
+
+void ForEachNodeProgram(const PlanNode* node,
+                        const std::function<void(const CompiledProgram&)>& fn) {
+  auto opt = [&](const std::optional<CompiledProgram>& p) {
+    if (p.has_value()) fn(*p);
+  };
+  switch (node->kind) {
+    case PlanNode::Kind::kSeqScan:
+      return;
+    case PlanNode::Kind::kKeyedLookup:
+      opt(static_cast<const KeyedLookupNode*>(node)->key_prog);
+      return;
+    case PlanNode::Kind::kIndexEq:
+      opt(static_cast<const IndexEqNode*>(node)->key_prog);
+      return;
+    case PlanNode::Kind::kRangeScan: {
+      const auto* range = static_cast<const RangeScanNode*>(node);
+      opt(range->lo_prog);
+      opt(range->hi_prog);
+      return;
+    }
+    case PlanNode::Kind::kFilter:
+      ForEachFilterProgram(static_cast<const FilterNode*>(node), fn);
+      return;
+    case PlanNode::Kind::kNestedLoop:
+      for (const auto& level :
+           static_cast<const NestedLoopNode*>(node)->levels) {
+        ForEachNodeProgram(level.get(), fn);
+      }
+      return;
+    case PlanNode::Kind::kSubstitution: {
+      const auto* sub = static_cast<const SubstitutionNode*>(node);
+      ForEachNodeProgram(sub->outer.get(), fn);
+      ForEachNodeProgram(sub->inner.get(), fn);
+      return;
+    }
+    case PlanNode::Kind::kHashJoin: {
+      const auto* hj = static_cast<const HashJoinNode*>(node);
+      ForEachNodeProgram(hj->build.get(), fn);
+      ForEachNodeProgram(hj->probe.get(), fn);
+      opt(hj->build_prog);
+      opt(hj->probe_prog);
+      ForEachFilterProgram(&hj->residual, fn);
+      return;
+    }
+    case PlanNode::Kind::kIntervalJoin: {
+      const auto* ij = static_cast<const IntervalJoinNode*>(node);
+      ForEachNodeProgram(ij->left.get(), fn);
+      ForEachNodeProgram(ij->right.get(), fn);
+      ForEachFilterProgram(&ij->residual, fn);
+      return;
+    }
+    case PlanNode::Kind::kProject: {
+      const auto* project = static_cast<const ProjectNode*>(node);
+      if (project->child != nullptr) {
+        ForEachNodeProgram(project->child.get(), fn);
+      }
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+void ForEachCompiledProgram(
+    const PhysicalPlan& plan,
+    const std::function<void(const CompiledProgram&)>& fn) {
+  ForEachNodeProgram(plan.root.get(), fn);
+}
+
+void BindPlanParams(PhysicalPlan* plan, const std::vector<Value>& params) {
+  // The caller owns `plan`, so its programs are not const objects.
+  ForEachCompiledProgram(*plan, [&](const CompiledProgram& p) {
+    const_cast<CompiledProgram&>(p).BindParams(params);
+  });
+}
+
 }  // namespace tdb

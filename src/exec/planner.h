@@ -1,6 +1,7 @@
 #ifndef CHRONOQUEL_EXEC_PLANNER_H_
 #define CHRONOQUEL_EXEC_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -101,6 +102,18 @@ Result<std::shared_ptr<PhysicalPlan>> BuildPlan(const RetrieveStmt& stmt,
 /// stay alive while the clone executes.
 Result<std::shared_ptr<PhysicalPlan>> ClonePlanForExec(const PhysicalPlan& tmpl,
                                                        const ExecEnv& env);
+
+/// Calls `fn` on every compiled program of the plan's nodes: probe keys,
+/// range bounds, join keys, and filter and residual conjuncts.
+void ForEachCompiledProgram(
+    const PhysicalPlan& plan,
+    const std::function<void(const CompiledProgram&)>& fn);
+
+/// Binds one execution's `$N` arguments into every compiled program of a
+/// plan the caller owns (a fresh BuildPlan, or a ClonePlanForExec copy —
+/// never a shared template), so parameterized filters take the same
+/// compiled and batch paths as literal ones.
+void BindPlanParams(PhysicalPlan* plan, const std::vector<Value>& params);
 
 }  // namespace tdb
 

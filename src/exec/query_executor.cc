@@ -1014,6 +1014,8 @@ Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
   (*binding)[static_cast<size_t>(outer_var)] = nullptr;
   temp_win.Begin();
   temp.reset();  // flush before deleting
+  // A temp left behind by a failed delete is harmless: the catalog never
+  // names it, and the next detachment under its name Reset()s it.
   (void)env_.env->DeleteFile(temp_path);
   temp_win.End(&node->stats.io);
   return status;
@@ -1513,6 +1515,7 @@ Result<ExecResult> QueryExecutor::Retrieve(RetrieveStmt* stmt,
   if (plan == nullptr) {
     TDB_ASSIGN_OR_RETURN(plan, BuildPlan(*stmt, bound, env_));
   }
+  if (env_.params != nullptr) BindPlanParams(plan.get(), *env_.params);
   // Root wall time covers everything from here on (folding, iteration,
   // sort, materialization); the stats object outlives this frame through
   // the shared plan, so the timer's late write lands safely.
@@ -1535,6 +1538,9 @@ Result<ExecResult> QueryExecutor::Retrieve(RetrieveStmt* stmt,
     target_progs.reserve(stmt->targets.size());
     for (const TargetItem& t : stmt->targets) {
       target_progs.push_back(CompiledProgram::CompileExpr(*t.expr));
+      if (target_progs.back().has_value() && env_.params != nullptr) {
+        target_progs.back()->BindParams(*env_.params);
+      }
     }
     if (stmt->valid.has_value()) {
       valid_from_prog = CompiledProgram::CompileTemporal(*stmt->valid->from);

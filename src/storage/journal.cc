@@ -398,8 +398,15 @@ Status Journal::Rollback() {
     return applied;
   }
   // Truncate only this batch's records: sealed group-commit batches before
-  // batch_start_offset_ must keep their marks until they are synced.
-  (void)file_->Truncate(batch_start_offset_);
+  // batch_start_offset_ must keep their marks until they are synced.  If
+  // the records stay, a later batch would be written over them, and
+  // page images of equal size could line up after its commit mark, where
+  // Recover would replay them over committed pages: stop writing instead.
+  Status truncated = file_->Truncate(batch_start_offset_);
+  if (!truncated.ok()) {
+    healthy_ = false;
+    return truncated;
+  }
   write_offset_ = batch_start_offset_;
   batch_.clear();
   files_.clear();

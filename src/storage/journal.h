@@ -107,8 +107,9 @@ class Journal {
 
   DurabilityMode mode() const { return mode_; }
 
-  /// True until a rollback fails (leaving disk state only recoverable by
-  /// Recover() on reopen).
+  /// True until a rollback fails — applying its pre-images, or cutting its
+  /// records off the journal — leaving disk state only recoverable by
+  /// Recover() on reopen.
   bool healthy() const { return healthy_; }
 
   /// True between a successful Begin() and the matching
@@ -149,9 +150,11 @@ class Journal {
   /// awaits a sync, and forgets per-batch dedup state.
   Status Begin();
 
-  /// Undoes the batch on disk by applying its pre-images in reverse.  The
-  /// caller must discard all in-memory state derived from the rolled-back
-  /// files (buffer frames, open relations, the catalog image).
+  /// Undoes the batch on disk by applying its pre-images in reverse, then
+  /// truncates its records off the journal; if either fails, the journal
+  /// turns unhealthy and refuses every later Begin.  The caller must
+  /// discard all in-memory state derived from the rolled-back files
+  /// (buffer frames, open relations, the catalog image).
   Status Rollback();
 
   /// Seals the batch: appends the commit mark and returns a ticket for

@@ -213,4 +213,81 @@ std::string TemporalPred::ToString() const {
   return "?";
 }
 
+namespace {
+
+template <typename T>
+std::unique_ptr<T> CloneOrNull(const std::unique_ptr<T>& p) {
+  return p != nullptr ? p->Clone() : nullptr;
+}
+
+}  // namespace
+
+std::unique_ptr<Expr> Expr::Clone() const {
+  auto e = std::make_unique<Expr>();
+  e->kind = kind;
+  e->int_val = int_val;
+  e->float_val = float_val;
+  e->str_val = str_val;
+  e->param_index = param_index;
+  e->var = var;
+  e->attr = attr;
+  e->var_index = var_index;
+  e->attr_index = attr_index;
+  e->column_type = column_type;
+  e->op = op;
+  e->left = CloneOrNull(left);
+  e->right = CloneOrNull(right);
+  e->agg = agg;
+  e->agg_arg = CloneOrNull(agg_arg);
+  e->agg_by = CloneOrNull(agg_by);
+  e->agg_where = CloneOrNull(agg_where);
+  return e;
+}
+
+std::unique_ptr<TemporalExpr> TemporalExpr::Clone() const {
+  auto e = std::make_unique<TemporalExpr>();
+  e->kind = kind;
+  e->var = var;
+  e->var_index = var_index;
+  e->const_time = const_time;
+  e->left = CloneOrNull(left);
+  e->right = CloneOrNull(right);
+  return e;
+}
+
+std::unique_ptr<TemporalPred> TemporalPred::Clone() const {
+  auto p = std::make_unique<TemporalPred>();
+  p->kind = kind;
+  p->lexpr = CloneOrNull(lexpr);
+  p->rexpr = CloneOrNull(rexpr);
+  p->left = CloneOrNull(left);
+  p->right = CloneOrNull(right);
+  return p;
+}
+
+std::unique_ptr<RetrieveStmt> RetrieveStmt::Clone() const {
+  auto s = std::make_unique<RetrieveStmt>();
+  s->source_offset = source_offset;
+  s->into = into;
+  s->unique = unique;
+  for (const TargetItem& t : targets) {
+    s->targets.push_back(TargetItem{t.name, t.expr->Clone()});
+  }
+  if (valid.has_value()) {
+    s->valid.emplace();
+    s->valid->at = valid->at;
+    s->valid->from = CloneOrNull(valid->from);
+    s->valid->to = CloneOrNull(valid->to);
+  }
+  s->where = CloneOrNull(where);
+  s->when = CloneOrNull(when);
+  if (as_of.has_value()) {
+    s->as_of.emplace();
+    s->as_of->at = CloneOrNull(as_of->at);
+    s->as_of->through = CloneOrNull(as_of->through);
+  }
+  s->sort_by = sort_by;
+  return s;
+}
+
 }  // namespace tdb

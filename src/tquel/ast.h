@@ -92,6 +92,10 @@ struct Expr {
   static std::unique_ptr<Expr> Unary(ExprOp op, std::unique_ptr<Expr> e);
   static std::unique_ptr<Expr> Param(int index);
 
+  /// Deep copy, binder annotations included.  `agg_groups` is per
+  /// execution and is not copied.
+  std::unique_ptr<Expr> Clone() const;
+
   std::string ToString() const;
 };
 
@@ -127,6 +131,9 @@ struct TemporalExpr {
                                             std::unique_ptr<TemporalExpr> l,
                                             std::unique_ptr<TemporalExpr> r);
 
+  /// Deep copy, binder annotations included.
+  std::unique_ptr<TemporalExpr> Clone() const;
+
   std::string ToString() const;
 };
 
@@ -151,6 +158,9 @@ struct TemporalPred {
   std::unique_ptr<TemporalExpr> rexpr;
   std::unique_ptr<TemporalPred> left;   // boolean combinations; kNot: left
   std::unique_ptr<TemporalPred> right;
+
+  /// Deep copy, binder annotations included.
+  std::unique_ptr<TemporalPred> Clone() const;
 
   std::string ToString() const;
 };
@@ -235,6 +245,10 @@ struct RetrieveStmt : Statement {
   std::unique_ptr<TemporalPred> when;
   std::optional<AsOfClause> as_of;
   std::vector<SortKey> sort_by;
+
+  /// Deep copy of a bound statement: the plan cache keeps one, so that the
+  /// plans it shares between sessions alias an AST no session re-binds.
+  std::unique_ptr<RetrieveStmt> Clone() const;
 };
 
 /// `append to R (a = e, ...) [valid ...] [where ...] [when ...]`
@@ -358,6 +372,10 @@ struct ExecPreparedStmt : Statement {
   /// session binds these directly as the statement's parameters.
   std::vector<Value> bound_args;
   bool use_bound_args = false;
+  /// Set only by the session running a raw retrieve as an implicit
+  /// prepared statement: `name` is then that statement's normalized key,
+  /// which no `execute` or `deallocate` text can name.
+  bool implicit = false;
 };
 
 /// `deallocate name` — drops a prepared statement.

@@ -263,6 +263,16 @@ Status CheckTargetNames(const std::vector<TargetItem>& targets,
   return Status::OK();
 }
 
+/// Replace and delete act on the tuples of one variable; the executors
+/// bind no other, so a second variable is refused here rather than left
+/// to fail mid-statement.
+Status CheckOneVariable(const char* verb, const BoundStatement& bound) {
+  if (bound.vars.size() <= 1) return Status::OK();
+  return Status::BindError(StrPrintf(
+      "%s may reference only its own tuple variable '%s', not '%s'", verb,
+      bound.vars[0].name.c_str(), bound.vars[1].name.c_str()));
+}
+
 }  // namespace
 
 Result<BoundStatement> Binder::BindAppend(AppendStmt* stmt) {
@@ -313,6 +323,7 @@ Result<BoundStatement> Binder::BindDelete(DeleteStmt* stmt) {
     }
     TDB_RETURN_NOT_OK(BindValid(&*stmt->valid, &bound));
   }
+  TDB_RETURN_NOT_OK(CheckOneVariable("delete", bound));
   return bound;
 }
 
@@ -339,6 +350,7 @@ Result<BoundStatement> Binder::BindReplace(ReplaceStmt* stmt) {
     }
     TDB_RETURN_NOT_OK(BindValid(&*stmt->valid, &bound));
   }
+  TDB_RETURN_NOT_OK(CheckOneVariable("replace", bound));
   return bound;
 }
 

@@ -168,6 +168,20 @@ TEST_F(BinderTest, DeleteAndReplaceBindVar) {
   EXPECT_FALSE(Bind("replace t (nope = 1)").ok());
 }
 
+TEST_F(BinderTest, ReplaceAndDeleteRefuseASecondVariable) {
+  for (const char* text :
+       {"replace t (amount = t.amount + 1) where t.id = 5 and h.id = 5 and "
+        "h.amount = 0",
+        "delete t where t.id = 6 and h.id = 6",
+        "replace t (amount = h.amount)"}) {
+    auto bound = Bind(text);
+    ASSERT_FALSE(bound.ok()) << text;
+    EXPECT_EQ(bound.status().code(), StatusCode::kBindError) << text;
+    EXPECT_NE(bound.status().ToString().find("not 'h'"), std::string::npos)
+        << bound.status().ToString();
+  }
+}
+
 TEST_F(BinderTest, RangeOverMissingRelation) {
   ranges_["q"] = "missing";
   EXPECT_FALSE(Bind("retrieve (q.id)").ok());

@@ -77,6 +77,40 @@ TEST(CompiledExprTest, ErrorTextsMatch) {
   }
 }
 
+TEST(CompiledExprTest, BoundParametersMatchTheEvaluator) {
+  // Every value type an `execute` can bind, through arithmetic, compares
+  // and a bare `$N`; the argument-less and short-argument cases must fail
+  // with the Evaluator's text.
+  const std::vector<Value> args = {
+      Value::Int4(7),   Value::Float8(2.5), Value::Char("abc"),
+      Value::Int1(-3),  Value::Int2(300),   Value::Time(TimePoint(42))};
+  Binding none;
+  for (const char* text :
+       {"$1", "$1 + 1", "-$1", "$2 * 2", "$3", "$3 = \"abc\"", "$4",
+        "$4 < $1", "$5 + $4", "$6", "$1 = 7 and $2 > 2", "$7", "$1 + $9"}) {
+    Expr* e = ParseExpr(text);
+    auto prog = CompiledProgram::CompileExpr(*e);
+    ASSERT_TRUE(prog.has_value()) << text << " did not compile";
+    for (const std::vector<Value>* params :
+         {static_cast<const std::vector<Value>*>(nullptr), &args}) {
+      Evaluator eval{TimePoint(kNow), params};
+      CompiledProgram bound = *prog;
+      if (params != nullptr) bound.BindParams(*params);
+      auto ast = eval.Eval(*e, none);
+      auto compiled = bound.Eval(none, TimePoint(kNow));
+      ASSERT_EQ(ast.ok(), compiled.ok()) << text;
+      if (!ast.ok()) {
+        EXPECT_EQ(ast.status().ToString(), compiled.status().ToString())
+            << text;
+        continue;
+      }
+      EXPECT_TRUE(ast->Equals(*compiled) && ast->type() == compiled->type())
+          << text << ": ast=" << ast->ToString()
+          << " compiled=" << compiled->ToString();
+    }
+  }
+}
+
 TEST(CompiledExprTest, ColumnAccess) {
   VersionRef ref;
   ref.SetRow({Value::Int4(42), Value::Char("zz")});

@@ -62,6 +62,30 @@ TEST_F(DatabaseTest, StaticDeleteAndReplace) {
   EXPECT_EQ(r.result.rows[0][1].AsInt(), 25);
 }
 
+TEST_F(DatabaseTest, ReplaceAndDeleteOfOneVariableOnly) {
+  // A second range variable in a replace or delete qualification is a
+  // bind error naming it, and the statement changes nothing.
+  Exec("create persistent interval bench_h (id = i4, seq = i4)");
+  Exec("create persistent interval bench_i (id = i4, seq = i4)");
+  for (int id : {5, 6}) {
+    Exec("append to bench_h (id = " + std::to_string(id) + ", seq = 0)");
+    Exec("append to bench_i (id = " + std::to_string(id) + ", seq = 0)");
+  }
+  Exec("range of h is bench_h");
+  Exec("range of i is bench_i");
+  for (const char* text :
+       {"replace h (seq = h.seq + 1) where h.id = 5 and i.id = 5 and "
+        "i.seq = 0",
+        "delete h where h.id = 6 and i.id = 6"}) {
+    Status st = ExecErr(text);
+    EXPECT_EQ(st.code(), StatusCode::kBindError) << st.ToString();
+    EXPECT_NE(st.ToString().find("'i'"), std::string::npos) << st.ToString();
+  }
+  ExecResult r = Exec("retrieve (h.id, h.seq) when h overlap \"now\"");
+  ASSERT_EQ(r.result.num_rows(), 2u);
+  for (const Row& row : r.result.rows) EXPECT_EQ(row[1].AsInt(), 0);
+}
+
 TEST_F(DatabaseTest, RollbackAsOf) {
   Exec("create persistent emp (name = c10, sal = i4)");
   Exec("append to emp (name = \"ann\", sal = 100)");

@@ -47,6 +47,20 @@ TEST_F(FaultEnvTest, CountsOnlyMutatingOps) {
   EXPECT_EQ(fault_.op_count(), 6u);
 }
 
+TEST_F(FaultEnvTest, FailTruncateAtFailsOnceAndKeepsTheFile) {
+  auto file = fault_.OpenOrCreate("/f");
+  ASSERT_TRUE(file.ok());
+  const uint8_t data[4] = {1, 2, 3, 4};
+  ASSERT_TRUE((*file)->Write(0, data, 4).ok());
+  fault_.FailTruncateAt(2);
+  ASSERT_TRUE((*file)->Truncate(4).ok());
+  EXPECT_FALSE((*file)->Truncate(1).ok());
+  EXPECT_EQ(*(*file)->Size(), 4u);  // the failed truncate changed nothing
+  ASSERT_TRUE((*file)->Truncate(2).ok());
+  EXPECT_EQ(*(*file)->Size(), 2u);
+  EXPECT_EQ(fault_.truncate_count(), 3u);
+}
+
 TEST_F(FaultEnvTest, CrashAtFreezesFileImage) {
   auto file = fault_.OpenOrCreate("/f");
   ASSERT_TRUE(file.ok());

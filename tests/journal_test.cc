@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "env/env.h"
+#include "env/fault_env.h"
 #include "storage/page.h"
 
 namespace tdb {
@@ -159,6 +160,40 @@ TEST_F(JournalTest, PreImageLoggedOncePerPagePerBatch) {
   ASSERT_TRUE(journal_->Rollback().ok());
 
   EXPECT_EQ(static_cast<uint8_t>(FileContent(&env_, "/db/r.dat")[0]), 0xAA);
+}
+
+TEST(JournalFaultTest, FailedRollbackTruncateStopsWrites) {
+  // If Rollback cannot cut the batch's records off the journal, a later
+  // batch would be written over them; the journal must refuse instead.
+  MemEnv base;
+  FaultEnv fault(&base);
+  ASSERT_TRUE(base.CreateDirIfMissing("/db").ok());
+  auto opened = Journal::Open(&fault, "/db", DurabilityMode::kJournal);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Journal> journal = std::move(opened).value();
+  WritePage(&base, "/db/r.dat", 0, 0xAA);
+  auto file = fault.OpenOrCreate("/db/r.dat");
+  ASSERT_TRUE(file.ok());
+
+  ASSERT_TRUE(journal->Begin().ok());
+  ASSERT_TRUE(journal->BeforePageWrite("/db/r.dat", file->get(), 0).ok());
+  WritePage(&base, "/db/r.dat", 0, 0xBB);
+  // A page-image batch truncates nothing but the journal itself.
+  fault.FailTruncateAt(fault.truncate_count() + 1);
+  Status rolled = journal->Rollback();
+  EXPECT_EQ(rolled.code(), StatusCode::kIOError) << rolled.ToString();
+  EXPECT_FALSE(journal->healthy());
+  EXPECT_EQ(static_cast<uint8_t>(FileContent(&base, "/db/r.dat")[0]), 0xAA);
+  EXPECT_FALSE(journal->Begin().ok());
+
+  // The batch's records stayed in the journal with no commit mark: on
+  // reopen, recovery re-applies the same pre-image, and the journal ends
+  // empty.
+  journal.reset();
+  EXPECT_GT(FileContent(&base, Journal::PathFor("/db")).size(), 0u);
+  ASSERT_TRUE(Journal::Recover(&base, "/db").ok());
+  EXPECT_EQ(static_cast<uint8_t>(FileContent(&base, "/db/r.dat")[0]), 0xAA);
+  EXPECT_EQ(FileContent(&base, Journal::PathFor("/db")).size(), 0u);
 }
 
 TEST_F(JournalTest, RecoverRollsBackUncommittedBatch) {
