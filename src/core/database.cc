@@ -41,6 +41,7 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
   // registry the same way.)
   if (obs::MetricsRegistry* m = db->metrics()) {
     if (db->journal_ != nullptr) db->journal_->set_metrics(m);
+    if (db->pool_ != nullptr) db->pool_->set_metrics(m);
   }
   TDB_RETURN_NOT_OK(db->catalog_.Load());
   TDB_RETURN_NOT_OK(db->RestoreClock());

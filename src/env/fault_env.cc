@@ -11,6 +11,7 @@ class FaultFile : public RandomRWFile {
       : env_(env), base_(std::move(base)) {}
 
   Status Read(uint64_t offset, size_t n, uint8_t* buf) const override {
+    if (env_->NextReadFails()) return FaultEnv::InjectedError();
     return base_->Read(offset, n, buf);
   }
 
@@ -71,12 +72,18 @@ void FaultEnv::FailTruncateAt(uint64_t n) {
   fail_truncate_at_ = n;
 }
 
+void FaultEnv::FailReadAt(uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fail_read_at_ = n;
+}
+
 void FaultEnv::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  ops_ = syncs_ = writes_ = truncates_ = 0;
+  ops_ = syncs_ = writes_ = truncates_ = reads_ = 0;
   crash_at_ = UINT64_MAX;
   torn_write_bytes_ = UINT64_MAX;
   fail_sync_at_ = fail_write_at_ = fail_write_bytes_ = fail_truncate_at_ = 0;
+  fail_read_at_ = 0;
   crashed_ = false;
 }
 
@@ -98,6 +105,12 @@ uint64_t FaultEnv::truncate_count() const {
 bool FaultEnv::crashed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return crashed_;
+}
+
+bool FaultEnv::NextReadFails() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++reads_;
+  return fail_read_at_ != 0 && reads_ == fail_read_at_;
 }
 
 FaultEnv::Decision FaultEnv::NextOp(bool is_write, bool is_sync,

@@ -18,13 +18,13 @@ namespace tdb {
 /// Every *mutating* operation that reaches the wrapped env — RandomRWFile
 /// Write / Truncate / Sync, and env-level DeleteFile / RenameFile /
 /// WriteStringToFile — consumes one operation index, counted from 0 in
-/// execution order.  Reads never count and never fail, so a test can always
-/// inspect the resulting file image.  WriteStringToFile is one operation
-/// that counts as both a Write and a Sync, as the POSIX env ends a
-/// whole-file rewrite with an fsync: sync_count() then equals the fsyncs a
-/// PosixEnv would issue.
+/// execution order.  Reads never count, and fail only under FailReadAt, so
+/// a test can always inspect the resulting file image.  WriteStringToFile
+/// is one operation that counts as both a Write and a Sync, as the POSIX
+/// env ends a whole-file rewrite with an fsync: sync_count() then equals
+/// the fsyncs a PosixEnv would issue.
 ///
-/// Four fault styles:
+/// Five fault styles:
 ///   * CrashAt(k): operation k and everything after it fail with an
 ///     IOError and leave the wrapped env untouched — the file image is
 ///     frozen exactly as it was after operation k-1, like a power cut.
@@ -40,6 +40,9 @@ namespace tdb {
 ///     short writes.
 ///   * FailTruncateAt(n): the nth RandomRWFile Truncate (1-based) returns
 ///     an IOError once and leaves the file as it was.
+///   * FailReadAt(n): the nth RandomRWFile Read (1-based, counted apart
+///     from the operation index) returns an IOError once and fills
+///     nothing.  Models a transient EIO on a page read.
 ///
 /// The wrapper is intended for single-threaded tests but guards its counter
 /// with a mutex so accidental cross-thread use stays well-defined.
@@ -64,6 +67,9 @@ class FaultEnv : public Env {
 
   /// Fail the `n`th Truncate (1-based) once with an IOError.
   void FailTruncateAt(uint64_t n);
+
+  /// Fail the `n`th RandomRWFile Read (1-based) once with an IOError.
+  void FailReadAt(uint64_t n);
 
   /// Clears the script and all counters (the wrapped env is untouched).
   void Reset();
@@ -112,6 +118,9 @@ class FaultEnv : public Env {
   /// FailSyncAt; `is_truncate` enables FailTruncateAt.
   Decision NextOp(bool is_write, bool is_sync, bool is_truncate = false);
 
+  /// Counts one RandomRWFile Read; true when FailReadAt picks it.
+  bool NextReadFails();
+
   static Status InjectedError() {
     return Status::IOError("injected fault: storage is unavailable");
   }
@@ -128,6 +137,8 @@ class FaultEnv : public Env {
   uint64_t fail_write_at_ = 0;   // 1-based; 0 = disabled
   uint64_t fail_write_bytes_ = 0;
   uint64_t fail_truncate_at_ = 0;  // 1-based; 0 = disabled
+  uint64_t reads_ = 0;
+  uint64_t fail_read_at_ = 0;  // 1-based; 0 = disabled
   bool crashed_ = false;
 };
 

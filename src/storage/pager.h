@@ -85,8 +85,8 @@ class Pager {
   /// scan would have counted for that page.  In private-frame mode an
   /// internal mutex serializes the workers of one parallel pipeline while
   /// the serial ReadPage path stays lock-free; in pool mode the shared
-  /// pool's mutex serializes everything, so workers of DIFFERENT files are
-  /// also safe against each other and against pool eviction.
+  /// pool's mutex guards the frame lookup, the copy-out and the counters,
+  /// and a missed page is read outside it, so workers read in parallel.
   Status ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out);
 
   /// Coordinator-only repair after a parallel scan: makes `pno` the

@@ -20,12 +20,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchlib/workload.h"
 #include "env/env.h"
+#include "env/fault_env.h"
+#include "obs/metrics.h"
+#include "storage/journal.h"
 #include "storage/pager.h"
 #include "storage/storage_file.h"
 #include "util/stringx.h"
@@ -36,11 +48,12 @@ namespace {
 class BufferPoolTest : public ::testing::Test {
  protected:
   std::unique_ptr<Pager> Open(const std::string& name, BufferPool* pool,
-                              IoCounters* counters) {
+                              IoCounters* counters, Env* env = nullptr,
+                              Journal* journal = nullptr) {
     StorageOptions sopts;
     sopts.pool = pool;
-    auto pager = Pager::Open(&env_, "/" + name, counters, /*frames=*/1,
-                             /*journal=*/nullptr, sopts);
+    auto pager = Pager::Open(env != nullptr ? env : &env_, "/" + name,
+                             counters, /*frames=*/1, journal, sopts);
     EXPECT_TRUE(pager.ok()) << pager.status().ToString();
     return std::move(pager).value();
   }
@@ -390,6 +403,558 @@ TEST_F(BufferPoolTest, GrownFileIsFoundOnItsNextHit) {
   EXPECT_EQ(counters_.TotalReads(), 0u);
   EXPECT_EQ(pool.GetStats().hits - base.hits, 40u);
   EXPECT_EQ(pool.GetStats().misses, base.misses);
+}
+
+TEST_F(BufferPoolTest, FailedMissGivesItsFrameBack) {
+  BufferPool::Options po;
+  po.total_frames = 4;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  FaultEnv fault(&env_);
+  auto pager = Open("a", &pool, &counters_, &fault);
+  Seed(pager.get(), 3);
+  ASSERT_TRUE(pager->FlushAndDrop().ok());
+  ASSERT_TRUE(pager->ReadPage(0, IoCategory::kData).ok());
+  counters_.Reset();
+  const BufferPool::Stats base = pool.GetStats();
+
+  // Each failed miss returns its frame: repeating it never grows the pool.
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    fault.Reset();
+    fault.FailReadAt(1);
+    auto failed = pager->ReadPage(1, IoCategory::kData);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+    const BufferPool::Stats s = pool.GetStats();
+    EXPECT_EQ(s.frames, base.frames) << "attempt " << attempt;
+    EXPECT_EQ(s.resident, base.resident) << "attempt " << attempt;
+    EXPECT_EQ(pager->ResidentPages(), std::vector<uint32_t>{0});
+  }
+  EXPECT_EQ(counters_.TotalReads(), 0u);  // a failed read is not counted
+
+  // The retry succeeds in a frame the pool already had.
+  auto retry = pager->ReadPage(1, IoCategory::kData);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ((*retry)[0], 2u);
+  BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.frames, base.frames);
+  EXPECT_EQ(s.resident, base.resident + 1);
+  EXPECT_EQ(s.misses - base.misses, 5u);
+  EXPECT_EQ(counters_.TotalReads(), 1u);
+
+  // The same for a parallel worker's copy-out read and a re-prime.
+  fault.Reset();
+  fault.FailReadAt(1);
+  std::vector<uint8_t> out(kPageSize);
+  EXPECT_FALSE(pager->ReadPageInto(2, IoCategory::kData, out.data()).ok());
+  fault.FailReadAt(2);
+  EXPECT_FALSE(pager->PrimeFrame(2, IoCategory::kData).ok());
+  EXPECT_EQ(pager->ResidentPages(), (std::vector<uint32_t>{0, 1}));
+  ASSERT_TRUE(pager->PrimeFrame(2, IoCategory::kData).ok());
+  s = pool.GetStats();
+  EXPECT_EQ(s.frames, base.frames);
+  EXPECT_EQ(s.resident, base.resident + 2);
+  EXPECT_EQ(pager->ResidentPages(), (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST_F(BufferPoolTest, OverflowFramesAreCounted) {
+  BufferPool::Options po;
+  po.total_frames = 2;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  obs::MetricsRegistry metrics(/*enabled=*/true);
+  pool.set_metrics(&metrics);
+  std::vector<IoCounters> counters(3);
+  std::vector<std::unique_ptr<Pager>> pagers;
+  for (int i = 0; i < 3; ++i) {
+    pagers.push_back(Open(std::string(1, 'a' + i), &pool, &counters[i]));
+    Seed(pagers.back().get(), 1);
+    ASSERT_TRUE(pagers.back()->FlushAndDrop().ok());
+  }
+  EXPECT_EQ(pool.GetStats().overflow_frames, 0u);
+
+  // Three pagers each pin one page of a two-frame pool: the third request
+  // finds nothing evictable and allocates past capacity.
+  for (auto& pager : pagers) {
+    auto frame = pager->ReadPage(0, IoCategory::kData);
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ((*frame)[0], 1u);
+  }
+  BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.overflow_frames, 1u);
+  EXPECT_EQ(s.frames, 3u);
+  EXPECT_EQ(s.resident, 3u);
+  EXPECT_EQ(metrics.Snapshot().counter("bufpool.overflow_frames"), 1u);
+
+  // Once a pin moves on, the pool recycles within its frames again.
+  ASSERT_TRUE(pagers[0]->FlushAndDrop().ok());
+  ASSERT_TRUE(pagers[1]->ReadPage(0, IoCategory::kData).ok());
+  ASSERT_TRUE(pagers[0]->ReadPage(0, IoCategory::kData).ok());
+  EXPECT_EQ(pool.GetStats().overflow_frames, 1u);
+  EXPECT_EQ(pool.GetStats().frames, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// No file I/O under the pool mutex: one pager held inside its file read or
+// its journal sync must not stall another pager's hits and misses.
+// ---------------------------------------------------------------------------
+
+/// How long a test waits for the other side before it fails (instead of
+/// hanging on a pool that does hold its mutex across I/O).
+constexpr auto kLatchTimeout = std::chrono::seconds(10);
+
+class LatchEnv;
+
+class LatchFile : public RandomRWFile {
+ public:
+  LatchFile(LatchEnv* env, std::string path,
+            std::unique_ptr<RandomRWFile> base)
+      : env_(env), path_(std::move(path)), base_(std::move(base)) {}
+
+  Status Read(uint64_t offset, size_t n, uint8_t* buf) const override;
+  Status Write(uint64_t offset, const uint8_t* data, size_t n) override {
+    return base_->Write(offset, data, n);
+  }
+  Result<uint64_t> Size() const override { return base_->Size(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override;
+
+ private:
+  LatchEnv* env_;
+  std::string path_;
+  std::unique_ptr<RandomRWFile> base_;
+};
+
+/// An in-memory Env whose next Read (or Sync) of one file blocks until the
+/// test releases it.
+class LatchEnv : public Env {
+ public:
+  /// Blocks the next Read of `path`, or its next Sync when `on_sync`.
+  void Arm(const std::string& path, bool on_sync) {
+    std::lock_guard<std::mutex> lock(mu_);
+    path_ = path;
+    on_sync_ = on_sync;
+    armed_ = true;
+  }
+
+  /// Waits for the armed call to block; false after kLatchTimeout.
+  bool WaitBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kLatchTimeout, [&] { return blocked_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  void MaybeBlock(const std::string& path, bool is_sync) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_ || path != path_ || is_sync != on_sync_) return;
+    armed_ = false;
+    blocked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  Result<std::unique_ptr<RandomRWFile>> OpenOrCreate(
+      const std::string& path) override {
+    TDB_ASSIGN_OR_RETURN(auto file, base_.OpenOrCreate(path));
+    return std::unique_ptr<RandomRWFile>(
+        new LatchFile(this, path, std::move(file)));
+  }
+  bool FileExists(const std::string& path) override {
+    return base_.FileExists(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_.DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_.RenameFile(from, to);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return base_.CreateDirIfMissing(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    return base_.ListDir(path);
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    return base_.ReadFileToString(path);
+  }
+  Status WriteStringToFile(const std::string& path,
+                           const std::string& data) override {
+    return base_.WriteStringToFile(path, data);
+  }
+
+ private:
+  MemEnv base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string path_;
+  bool on_sync_ = false;
+  bool armed_ = false;
+  bool blocked_ = false;
+  bool released_ = false;
+};
+
+Status LatchFile::Read(uint64_t offset, size_t n, uint8_t* buf) const {
+  env_->MaybeBlock(path_, /*is_sync=*/false);
+  return base_->Read(offset, n, buf);
+}
+
+Status LatchFile::Sync() {
+  env_->MaybeBlock(path_, /*is_sync=*/true);
+  return base_->Sync();
+}
+
+/// Reads `pnos` through `pager` and returns each page's first byte (the
+/// seed stamp), or the first error.
+Result<std::vector<uint8_t>> FirstBytes(Pager* pager,
+                                        const std::vector<uint32_t>& pnos) {
+  std::vector<uint8_t> bytes;
+  for (uint32_t pno : pnos) {
+    TDB_ASSIGN_OR_RETURN(uint8_t * frame,
+                         pager->ReadPage(pno, IoCategory::kData));
+    bytes.push_back(frame[0]);
+  }
+  return bytes;
+}
+
+/// Runs `blocked_side` on a thread until it blocks in `env`, then `b`'s
+/// reads of `pnos` on another; true when those finished while the first
+/// side was still blocked.  Always releases the latch and joins both.
+bool OtherSideFinishesWhileBlocked(
+    LatchEnv* env, const std::function<void()>& blocked_side, Pager* b,
+    const std::vector<uint32_t>& pnos,
+    Result<std::vector<uint8_t>>* b_bytes) {
+  std::thread blocked(blocked_side);
+  const bool reached = env->WaitBlocked();
+  EXPECT_TRUE(reached) << "the first pager never reached its file I/O";
+  auto other = std::async(std::launch::async,
+                          [&] { return FirstBytes(b, pnos); });
+  const bool finished =
+      reached &&
+      other.wait_for(kLatchTimeout) == std::future_status::ready;
+  env->Release();
+  blocked.join();
+  *b_bytes = other.get();
+  return finished;
+}
+
+TEST_F(BufferPoolTest, PageReadOfOneFileDoesNotStallAnother) {
+  BufferPool::Options po;
+  po.total_frames = 4;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  LatchEnv env;
+  IoCounters bcount;
+  auto a = Open("a", &pool, &counters_, &env);
+  auto b = Open("b", &pool, &bcount, &env);
+  Seed(a.get(), 2);
+  Seed(b.get(), 3);
+  ASSERT_TRUE(a->FlushAndDrop().ok());
+  ASSERT_TRUE(b->FlushAndDrop().ok());
+  ASSERT_TRUE(b->ReadPage(0, IoCategory::kData).ok());
+  counters_.Reset();
+  bcount.Reset();
+  const BufferPool::Stats base = pool.GetStats();
+
+  env.Arm("/a", /*on_sync=*/false);
+  Result<uint8_t*> a_frame = Status::Internal("not run");
+  Result<std::vector<uint8_t>> b_bytes = Status::Internal("not run");
+  EXPECT_TRUE(OtherSideFinishesWhileBlocked(
+      &env, [&] { a_frame = a->ReadPage(1, IoCategory::kData); }, b.get(),
+      {0, 1, 2, 0}, &b_bytes))
+      << "b's hits and misses waited for a's page read";
+
+  ASSERT_TRUE(a_frame.ok()) << a_frame.status().ToString();
+  EXPECT_EQ((*a_frame)[0], 2u);
+  ASSERT_TRUE(b_bytes.ok()) << b_bytes.status().ToString();
+  EXPECT_EQ(*b_bytes, (std::vector<uint8_t>{1, 2, 3, 1}));
+  EXPECT_EQ(counters_.TotalReads(), 1u);
+  EXPECT_EQ(bcount.TotalReads(), 2u);
+  const BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.hits - base.hits, 2u);
+  EXPECT_EQ(s.misses - base.misses, 3u);
+  EXPECT_EQ(s.evictions, base.evictions);
+}
+
+TEST_F(BufferPoolTest, JournalSyncOfOneFlushDoesNotStallAnother) {
+  BufferPool::Options po;
+  po.total_frames = 4;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  LatchEnv env;
+  ASSERT_TRUE(env.CreateDirIfMissing("/db").ok());
+  auto journal = Journal::Open(&env, "/db", DurabilityMode::kJournalSync);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  IoCounters bcount;
+  auto a = Open("db/a", &pool, &counters_, &env, journal->get());
+  auto b = Open("db/b", &pool, &bcount, &env);
+  Seed(a.get(), 2);
+  Seed(b.get(), 3);
+  ASSERT_TRUE(a->FlushAndDrop().ok());
+  ASSERT_TRUE(b->FlushAndDrop().ok());
+
+  ASSERT_TRUE((*journal)->Begin().ok());
+  for (uint32_t pno : {0u, 1u}) {
+    auto frame = a->ReadPage(pno, IoCategory::kData);
+    ASSERT_TRUE(frame.ok());
+    (*frame)[kPayloadByte] = static_cast<uint8_t>(0xA0 + pno);
+    a->MarkDirty();
+  }
+  ASSERT_TRUE(b->ReadPage(0, IoCategory::kData).ok());
+  counters_.Reset();
+  bcount.Reset();
+  const BufferPool::Stats base = pool.GetStats();
+
+  // a's two dirty frames stay put while its flush waits on the journal;
+  // b's third page evicts b's own unpinned page 0 instead.
+  env.Arm(Journal::PathFor("/db"), /*on_sync=*/true);
+  Status a_flush = Status::Internal("not run");
+  Result<std::vector<uint8_t>> b_bytes = Status::Internal("not run");
+  EXPECT_TRUE(OtherSideFinishesWhileBlocked(
+      &env, [&] { a_flush = a->Flush(); }, b.get(), {0, 1, 2, 0}, &b_bytes))
+      << "b's hits and misses waited for a's journal sync";
+
+  ASSERT_TRUE(a_flush.ok()) << a_flush.ToString();
+  ASSERT_TRUE(b_bytes.ok()) << b_bytes.status().ToString();
+  EXPECT_EQ(*b_bytes, (std::vector<uint8_t>{1, 2, 3, 1}));
+  EXPECT_EQ(counters_.TotalWrites(), 2u);
+  EXPECT_EQ(bcount.TotalReads(), 3u);
+  BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.write_backs - base.write_backs, 2u);
+  EXPECT_EQ(s.evictions - base.evictions, 2u);
+  EXPECT_EQ(s.foreign_evictions, base.foreign_evictions);
+
+  // The flush reached the file.
+  ASSERT_TRUE(a->FlushAndDrop().ok());
+  for (uint32_t pno : {0u, 1u}) {
+    auto frame = a->ReadPage(pno, IoCategory::kData);
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ((*frame)[kPayloadByte], 0xA0 + pno);
+  }
+  ASSERT_TRUE((*journal)->CommitGroup().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Victim order: a seeded script over three pagers in uncapped mode against
+// a reference model of the minimum-last-use rule.
+// ---------------------------------------------------------------------------
+
+/// The replacement rule spelled out as a scan for the least recently used
+/// evictable frame: never a foreign pinned or foreign dirty frame, and not
+/// the requester's own pinned frame (uncapped mode); when nothing is
+/// evictable, allocate past capacity.
+class PoolModel {
+ public:
+  PoolModel(size_t total, size_t free_frames, int pagers)
+      : total_(total), frames_(free_frames), pinned_(pagers, kNone),
+        reads_(pagers, 0), writes_(pagers, 0) {
+    for (size_t i = 0; i < free_frames; ++i) free_.push_back(i);
+  }
+
+  void Read(int p, uint32_t pno) {
+    size_t f = Find(p, pno);
+    if (f != kNone) {
+      ++stats_.hits;
+      frames_[f].last_use = ++tick_;
+      pinned_[p] = f;
+      return;
+    }
+    ++stats_.misses;
+    ++reads_[p];
+    f = Victim(p);
+    frames_[f] = {p, pno, false, ++tick_};
+    pinned_[p] = f;
+  }
+
+  void MarkDirty(int p) {
+    if (pinned_[p] != kNone) frames_[pinned_[p]].dirty = true;
+  }
+
+  void Flush(int p) {
+    for (Frame& f : frames_) {
+      if (f.owner == p && f.dirty) {
+        f.dirty = false;
+        ++writes_[p];
+        ++stats_.write_backs;
+      }
+    }
+  }
+
+  void FlushAndDrop(int p) {
+    Flush(p);
+    for (size_t i = 0; i < frames_.size(); ++i) {
+      if (frames_[i].owner == p) {
+        Detach(i);
+        free_.push_back(i);
+      }
+    }
+  }
+
+  std::vector<uint32_t> Resident(int p) const {
+    std::vector<uint32_t> pnos;
+    for (const Frame& f : frames_) {
+      if (f.owner == p) pnos.push_back(f.pno);
+    }
+    std::sort(pnos.begin(), pnos.end());
+    return pnos;
+  }
+
+  BufferPool::Stats stats() const {
+    BufferPool::Stats s = stats_;
+    s.frames = frames_.size();
+    for (const Frame& f : frames_) s.resident += f.owner >= 0 ? 1 : 0;
+    return s;
+  }
+  uint64_t reads(int p) const { return reads_[p]; }
+  uint64_t writes(int p) const { return writes_[p]; }
+
+ private:
+  static constexpr size_t kNone = SIZE_MAX;
+  struct Frame {
+    int owner = -1;
+    uint32_t pno = kNoPage;
+    bool dirty = false;
+    uint64_t last_use = 0;
+  };
+
+  size_t Find(int p, uint32_t pno) const {
+    for (size_t i = 0; i < frames_.size(); ++i) {
+      if (frames_[i].owner == p && frames_[i].pno == pno) return i;
+    }
+    return kNone;
+  }
+
+  void Detach(size_t i) {
+    if (pinned_[frames_[i].owner] == i) pinned_[frames_[i].owner] = kNone;
+    frames_[i] = Frame{};
+  }
+
+  size_t Victim(int p) {
+    if (!free_.empty()) {
+      const size_t f = free_.back();
+      free_.pop_back();
+      return f;
+    }
+    if (frames_.size() < total_) {
+      frames_.emplace_back();
+      return frames_.size() - 1;
+    }
+    size_t best = kNone;
+    for (size_t i = 0; i < frames_.size(); ++i) {
+      const Frame& f = frames_[i];
+      const bool pinned = pinned_[f.owner] == i;
+      if (f.owner != p && (f.dirty || pinned)) continue;
+      if (f.owner == p && pinned) continue;
+      if (best == kNone || f.last_use < frames_[best].last_use) best = i;
+    }
+    if (best == kNone) {
+      ++stats_.overflow_frames;
+      frames_.emplace_back();
+      return frames_.size() - 1;
+    }
+    const Frame& v = frames_[best];
+    ++stats_.evictions;
+    if (v.owner != p) ++stats_.foreign_evictions;
+    if (v.dirty) {
+      ++stats_.write_backs;
+      ++writes_[v.owner];
+    }
+    Detach(best);
+    return best;
+  }
+
+  size_t total_;
+  std::vector<Frame> frames_;
+  std::vector<size_t> free_;
+  std::vector<size_t> pinned_;
+  std::vector<uint64_t> reads_;
+  std::vector<uint64_t> writes_;
+  uint64_t tick_ = 0;
+  BufferPool::Stats stats_;
+};
+
+TEST_F(BufferPoolTest, VictimOrderMatchesTheLeastRecentlyUsedRule) {
+  BufferPool::Options po;
+  po.total_frames = 6;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  const std::vector<int> sizes = {5, 7, 9};
+  std::vector<IoCounters> counters(sizes.size());
+  std::vector<std::unique_ptr<Pager>> pagers;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    pagers.push_back(Open(std::string(1, 'a' + i), &pool, &counters[i]));
+    Seed(pagers.back().get(), sizes[i]);
+    ASSERT_TRUE(pagers.back()->FlushAndDrop().ok());
+    counters[i].Reset();
+  }
+  const BufferPool::Stats base = pool.GetStats();
+  ASSERT_EQ(base.resident, 0u);
+  PoolModel model(po.total_frames, base.frames, static_cast<int>(sizes.size()));
+
+  // Each page's payload byte as last written, and each pager's last frame.
+  std::vector<std::vector<uint8_t>> payload;
+  for (int n : sizes) payload.emplace_back(n, 0);
+  std::vector<uint8_t*> frame(sizes.size(), nullptr);
+  std::vector<uint32_t> frame_pno(sizes.size(), kNoPage);
+
+  std::mt19937 rng(20240611);
+  for (int step = 0; step < 2000; ++step) {
+    const int p = static_cast<int>(rng() % sizes.size());
+    const uint32_t op = rng() % 20;
+    Pager* pager = pagers[p].get();
+    if (op < 12) {
+      const uint32_t pno = rng() % sizes[p];
+      auto f = pager->ReadPage(pno, IoCategory::kData);
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      ASSERT_EQ((*f)[0], pno + 1) << "step " << step;
+      ASSERT_EQ((*f)[kPayloadByte], payload[p][pno]) << "step " << step;
+      model.Read(p, pno);
+      frame[p] = *f;
+      frame_pno[p] = pno;
+    } else if (op < 16) {
+      if (frame[p] != nullptr) {
+        const uint8_t v = static_cast<uint8_t>(step);
+        frame[p][kPayloadByte] = v;
+        payload[p][frame_pno[p]] = v;
+      }
+      pager->MarkDirty();
+      model.MarkDirty(p);
+    } else if (op < 19) {
+      ASSERT_TRUE(pager->Flush().ok());
+      model.Flush(p);
+    } else {
+      ASSERT_TRUE(pager->FlushAndDrop().ok());
+      model.FlushAndDrop(p);
+      frame[p] = nullptr;
+    }
+    for (size_t i = 0; i < pagers.size(); ++i) {
+      ASSERT_EQ(pagers[i]->ResidentPages(), model.Resident(static_cast<int>(i)))
+          << "step " << step << ", pager " << i;
+    }
+  }
+
+  const BufferPool::Stats s = pool.GetStats();
+  const BufferPool::Stats m = model.stats();
+  EXPECT_EQ(s.hits - base.hits, m.hits);
+  EXPECT_EQ(s.misses - base.misses, m.misses);
+  EXPECT_EQ(s.evictions - base.evictions, m.evictions);
+  EXPECT_EQ(s.foreign_evictions - base.foreign_evictions, m.foreign_evictions);
+  EXPECT_EQ(s.write_backs - base.write_backs, m.write_backs);
+  EXPECT_EQ(s.overflow_frames - base.overflow_frames, m.overflow_frames);
+  EXPECT_EQ(s.frames, m.frames);
+  EXPECT_EQ(s.resident, m.resident);
+  // The script must reach every rule.
+  EXPECT_GT(m.foreign_evictions, 0u);
+  EXPECT_GT(m.evictions, m.foreign_evictions);
+  EXPECT_GT(m.overflow_frames, 0u);
+  for (size_t i = 0; i < pagers.size(); ++i) {
+    EXPECT_EQ(counters[i].TotalReads(), model.reads(static_cast<int>(i)));
+    EXPECT_EQ(counters[i].TotalWrites(), model.writes(static_cast<int>(i)));
+  }
 }
 
 // ---------------------------------------------------------------------------

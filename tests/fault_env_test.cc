@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "env/env.h"
 
 namespace tdb {
@@ -126,6 +128,26 @@ TEST_F(FaultEnvTest, FailWriteShortPersistsPrefixOnce) {
   // The fault is one-shot; retrying succeeds in full.
   ASSERT_TRUE((*file)->Write(0, a, 4).ok());
   EXPECT_EQ(Content(&base_, "/f"), "aaaa");
+}
+
+TEST_F(FaultEnvTest, FailReadAtFailsOnceWithoutAnOperationIndex) {
+  auto file = fault_.OpenOrCreate("/f");
+  ASSERT_TRUE(file.ok());
+  const uint8_t data[4] = {'a', 'b', 'c', 'd'};
+  ASSERT_TRUE((*file)->Write(0, data, 4).ok());
+  fault_.FailReadAt(2);
+
+  uint8_t buf[4] = {0, 0, 0, 0};
+  ASSERT_TRUE((*file)->Read(0, 4, buf).ok());  // 1st read fine
+  const uint8_t untouched[4] = {'x', 'x', 'x', 'x'};
+  std::memcpy(buf, untouched, 4);
+  Status s = (*file)->Read(0, 4, buf);  // 2nd fails once, filling nothing
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_EQ(std::memcmp(buf, untouched, 4), 0);
+  ASSERT_TRUE((*file)->Read(0, 4, buf).ok());  // and recovers
+  EXPECT_EQ(std::memcmp(buf, data, 4), 0);
+  EXPECT_EQ(fault_.op_count(), 1u);  // only the write took an index
+  EXPECT_FALSE(fault_.crashed());
 }
 
 // A whole-file rewrite counts as a write and a sync (one operation), as the
