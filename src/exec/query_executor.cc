@@ -24,6 +24,18 @@ namespace {
 /// stats, and IoCounters reproducible across thread counts.
 constexpr uint32_t kParallelChunkPages = 4;
 
+/// Temp rows per parallel probe batch: a batch takes at least this many and
+/// ends only where the probe key changes, so each run of equal keys stays
+/// in one batch and is probed once, as the serial loop probes it.
+constexpr size_t kProbeBatchRows = 16;
+/// Temp rows per round of parallel probes (rounds also end only where the
+/// key changes): the first round is small, so probing starts early, and
+/// each next one up to kProbeGrowth times larger, up to kProbeRoundRows,
+/// which bounds the memory a round holds.
+constexpr size_t kProbeFirstRoundRows = 64;
+constexpr size_t kProbeGrowth = 3;
+constexpr size_t kProbeRoundRows = 1024;
+
 /// True when the planner lowered every conjunct of this filter — the
 /// all-or-nothing compiled-path gate both EvalFilter variants share.
 bool FilterCompiled(const FilterNode& filter) {
@@ -823,6 +835,32 @@ Status QueryExecutor::ExecuteNestedLoop(NestedLoopNode* node, size_t level,
                : ExecuteLevel(node->levels[level].get(), binding, next);
 }
 
+namespace {
+
+/// The inner level's residual filter of a substitution, or null.
+FilterNode* InnerFilterOf(SubstitutionNode* node) {
+  return node->inner->kind == PlanNode::Kind::kFilter
+             ? static_cast<FilterNode*>(node->inner.get())
+             : nullptr;
+}
+
+/// Reads every inner version the probe `spec` reaches into `matches`,
+/// counting each on `examined`.
+Status ProbeInner(Relation* rel, AccessSpec spec,
+                  std::vector<VersionRef>* matches, uint64_t* examined) {
+  TDB_ASSIGN_OR_RETURN(auto src, VersionSource::Create(rel, std::move(spec)));
+  while (true) {
+    TDB_ASSIGN_OR_RETURN(bool have, src->Next());
+    if (!have) return Status::OK();
+    ++*examined;
+    // Materialize: the source's ref borrows cursor bytes that die on the
+    // next advance, so the cache needs an owning copy.
+    matches->push_back(src->ref().Clone());
+  }
+}
+
+}  // namespace
+
 Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
                                           Binding* binding,
                                           const EmitFn& emit) {
@@ -833,15 +871,9 @@ Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
 
   AccessNode* outer_access = AccessOf(node->outer.get());
   AccessNode* inner_access = AccessOf(node->inner.get());
-  FilterNode* inner_filter =
-      node->inner->kind == PlanNode::Kind::kFilter
-          ? static_cast<FilterNode*>(node->inner.get())
-          : nullptr;
+  FilterNode* inner_filter = InnerFilterOf(node);
   int outer_var = outer_access->var;
-  int inner_var = inner_access->var;
-  Relation* outer_rel = outer_access->rel;
-  Relation* inner_rel = inner_access->rel;
-  const Schema& oschema = outer_rel->schema();
+  const Schema& oschema = outer_access->rel->schema();
 
   // ---- one-variable detachment: project the outer variable's qualifying
   // versions into a temporary relation ----
@@ -913,104 +945,56 @@ Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
                         : ExecuteLevel(node->outer.get(), binding, detach));
 
   // ---- tuple substitution: probe the inner variable per temp row ----
-  VersionRef outer_ref;  // reconstructed full-schema version
-  Status status = Status::OK();
-  // Consecutive temp rows often probe the same key (all versions of one
-  // tuple share it); the matching inner versions are cached so the chain is
-  // read once per distinct key, as Ingres achieves by sorting.
-  bool have_cached_key = false;
-  Value cached_key;
-  std::vector<VersionRef> cached_matches;
-  bool inner_tx_time = HasTransactionTime(inner_rel->schema().db_type());
-  IoWindow inner_win;
-  inner_win.AddRelation(inner_rel);
-  {
+  temp_win.Begin();
+  auto cur_result = temp->Scan();
+  temp_win.End(&node->stats.io);
+  if (!cur_result.ok()) return cur_result.status();
+  std::unique_ptr<Cursor> cur = std::move(*cur_result);
+  const TempRowFn next_row = [&](VersionRef* ref) -> Result<bool> {
     temp_win.Begin();
-    auto cur_result = temp->Scan();
+    Result<bool> have = cur->Next();
     temp_win.End(&node->stats.io);
-    if (!cur_result.ok()) return cur_result.status();
-    auto cur = std::move(*cur_result);
-    while (status.ok()) {
-      temp_win.Begin();
-      auto have_result = cur->Next();
-      temp_win.End(&node->stats.io);
-      if (!have_result.ok()) return have_result.status();
-      if (!*have_result) break;
-      // Expand into a full-schema row (unprojected attributes default),
-      // reusing outer_ref's row storage across temp rows.
-      Row& full = outer_ref.MutableRow();
-      full.resize(oschema.num_attrs());
-      for (size_t i = 0; i < oschema.num_attrs(); ++i) {
-        const Attribute& a = oschema.attr(i);
-        switch (a.type) {
-          case TypeId::kChar:
-            full[i] = Value::Char("");
-            break;
-          case TypeId::kFloat8:
-            full[i] = Value::Float8(0);
-            break;
-          case TypeId::kTime:
-            full[i] = Value::Time(TimePoint(0));
-            break;
-          default:
-            full[i] = Value::Int4(0);
-        }
+    if (!have.ok() || !*have) return have;
+    // Expand into a full-schema row (unprojected attributes default),
+    // reusing the ref's row storage.
+    Row& full = ref->MutableRow();
+    full.resize(oschema.num_attrs());
+    for (size_t i = 0; i < oschema.num_attrs(); ++i) {
+      switch (oschema.attr(i).type) {
+        case TypeId::kChar:
+          full[i] = Value::Char("");
+          break;
+        case TypeId::kFloat8:
+          full[i] = Value::Float8(0);
+          break;
+        case TypeId::kTime:
+          full[i] = Value::Time(TimePoint(0));
+          break;
+        default:
+          full[i] = Value::Int4(0);
       }
-      for (size_t i = 0; i < proj_attrs.size(); ++i) {
-        full[static_cast<size_t>(proj_attrs[i])] =
-            DecodeAttr(temp_schema, i, cur->record().data());
-      }
-      RefreshIntervals(oschema, &outer_ref);
-      (*binding)[static_cast<size_t>(outer_var)] = &outer_ref;
-
-      TDB_ASSIGN_OR_RETURN(AccessSpec spec, SpecFor(*inner_access, *binding));
-      if (!have_cached_key || !cached_key.Equals(spec.key)) {
-        cached_key = spec.key;
-        have_cached_key = true;
-        cached_matches.clear();
-        inner_access->stats.executed = true;
-        ++inner_access->stats.loops;
-        inner_win.Begin();
-        auto src_result = VersionSource::Create(inner_rel, std::move(spec));
-        if (src_result.ok()) {
-          auto& src = *src_result;
-          while (true) {
-            auto have_inner = src->Next();
-            if (!have_inner.ok()) {
-              status = have_inner.status();
-              break;
-            }
-            if (!*have_inner) break;
-            ++inner_access->stats.rows_examined;
-            // Materialize: the source's ref borrows cursor bytes that die on
-            // the next advance, so the cache needs an owning copy.
-            cached_matches.push_back(src->ref().Clone());
-          }
-        }
-        inner_win.End(&inner_access->stats.io);
-        if (!src_result.ok()) return src_result.status();
-        TDB_RETURN_NOT_OK(status);
-      }
-      for (const VersionRef& iref : cached_matches) {
-        (*binding)[static_cast<size_t>(inner_var)] = &iref;
-        bool pass = true;
-        if (inner_tx_time && !QualifiesAsOf(iref.tx)) pass = false;
-        if (pass) ++inner_access->stats.rows_emitted;
-        if (pass && inner_filter != nullptr) {
-          inner_filter->stats.executed = true;
-          ++inner_filter->stats.rows_examined;
-          TDB_ASSIGN_OR_RETURN(pass, EvalFilter(*inner_filter, *binding));
-          if (pass) ++inner_filter->stats.rows_emitted;
-        }
-        if (pass) {
-          ++node->stats.rows_emitted;
-          status = emit(*binding);
-          if (!status.ok()) break;
-        }
-      }
-      (*binding)[static_cast<size_t>(inner_var)] = nullptr;
     }
+    for (size_t i = 0; i < proj_attrs.size(); ++i) {
+      full[static_cast<size_t>(proj_attrs[i])] =
+          DecodeAttr(temp_schema, i, cur->record().data());
+    }
+    RefreshIntervals(oschema, ref);
+    return true;
+  };
+  Status status = Status::OK();
+  {
+    // The probe phase's wall time belongs to the inner level (the filter's
+    // timer encloses its child's).
+    std::optional<ScopedNodeTimer> filter_timer;
+    if (inner_filter != nullptr) {
+      filter_timer.emplace(timing_, &inner_filter->stats);
+    }
+    ScopedNodeTimer access_timer(timing_, &inner_access->stats);
+    status = ProbesRunInParallel(node)
+                 ? ProbeParallel(node, *binding, next_row)
+                 : ProbeSerial(node, binding, next_row, emit);
   }
+  cur.reset();
   (*binding)[static_cast<size_t>(outer_var)] = nullptr;
   temp_win.Begin();
   temp.reset();  // flush before deleting
@@ -1019,6 +1003,312 @@ Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
   (void)env_.env->DeleteFile(temp_path);
   temp_win.End(&node->stats.io);
   return status;
+}
+
+bool QueryExecutor::ProbesRunInParallel(SubstitutionNode* node) const {
+  // A substitution sits directly under the plan root, so its emit is the
+  // root's projector+sink pair, which the workers need split.
+  if (env_.exec_threads < 2 || root_proj_ == nullptr ||
+      root_sink_ == nullptr) {
+    return false;
+  }
+  // Workers would interleave an enabled I/O trace's per-page log.
+  if (env_.registry->trace()->enabled()) return false;
+  const AccessNode* inner = AccessOf(node->inner.get());
+  if (inner->kind != PlanNode::Kind::kKeyedLookup) return false;
+  // Workers read the inner stores concurrently, each through pins of its
+  // own: only the shared pool has them, and a per-file cap would have the
+  // workers evict each other's frames.
+  auto uncapped = [](StorageFile* f) {
+    return f == nullptr ||
+           (f->pager()->pool() != nullptr && f->pager()->num_frames() == 0);
+  };
+  Relation* rel = inner->rel;
+  if (!uncapped(rel->primary()) || !uncapped(rel->history()) ||
+      !uncapped(rel->anchors())) {
+    return false;
+  }
+  for (const Relation::Segment& seg : rel->segments()) {
+    if (!uncapped(seg.file.get())) return false;
+  }
+  return true;
+}
+
+void QueryExecutor::ProbeCounts::AddTo(SubstitutionNode* node) const {
+  AccessNode* inner_access = AccessOf(node->inner.get());
+  if (probes > 0) inner_access->stats.executed = true;
+  inner_access->stats.loops += probes;
+  inner_access->stats.rows_examined += examined;
+  inner_access->stats.rows_emitted += access_emitted;
+  if (FilterNode* filter = InnerFilterOf(node);
+      filter != nullptr && temp_rows > 0) {
+    // The inner level runs once per temp row, against the cached matches.
+    filter->stats.executed = true;
+    filter->stats.loops += temp_rows;
+    filter->stats.rows_examined += filter_examined;
+    filter->stats.rows_emitted += filter_emitted;
+  }
+  node->stats.rows_emitted += emitted;
+}
+
+Status QueryExecutor::MatchInner(
+    SubstitutionNode* node, const std::vector<VersionRef>& matches,
+    const std::vector<CompiledProgram>& where_prog,
+    const std::vector<CompiledProgram>& when_prog, Binding* binding,
+    ProbeCounts* counts, const EmitFn& out) const {
+  const AccessNode* inner_access = AccessOf(node->inner.get());
+  const FilterNode* inner_filter = InnerFilterOf(node);
+  const size_t inner_var = static_cast<size_t>(inner_access->var);
+  const bool inner_tx_time =
+      HasTransactionTime(inner_access->rel->schema().db_type());
+  ++counts->temp_rows;
+  for (const VersionRef& iref : matches) {
+    (*binding)[inner_var] = &iref;
+    bool pass = !inner_tx_time || QualifiesAsOf(iref.tx);
+    if (pass) ++counts->access_emitted;
+    if (pass && inner_filter != nullptr) {
+      ++counts->filter_examined;
+      TDB_ASSIGN_OR_RETURN(
+          pass, EvalFilterWith(*inner_filter, where_prog, when_prog,
+                               FilterCompiled(*inner_filter), *binding));
+      if (pass) ++counts->filter_emitted;
+    }
+    if (!pass) continue;
+    ++counts->emitted;
+    TDB_RETURN_NOT_OK(out(*binding));
+  }
+  (*binding)[inner_var] = nullptr;
+  return Status::OK();
+}
+
+Status QueryExecutor::ProbeSerial(SubstitutionNode* node, Binding* binding,
+                                  const TempRowFn& next_row,
+                                  const EmitFn& emit) {
+  AccessNode* inner_access = AccessOf(node->inner.get());
+  const FilterNode* inner_filter = InnerFilterOf(node);
+  static const std::vector<CompiledProgram> kNoPrograms;
+  const std::vector<CompiledProgram>& where_prog =
+      inner_filter != nullptr ? inner_filter->where_prog : kNoPrograms;
+  const std::vector<CompiledProgram>& when_prog =
+      inner_filter != nullptr ? inner_filter->when_prog : kNoPrograms;
+  const size_t outer_var =
+      static_cast<size_t>(AccessOf(node->outer.get())->var);
+  IoWindow inner_win;
+  inner_win.AddRelation(inner_access->rel);
+  VersionRef outer_ref;  // reused across temp rows
+  // Consecutive temp rows often probe the same key (all versions of one
+  // tuple share it); the matching inner versions are cached so the chain is
+  // read once per distinct key, as Ingres achieves by sorting.
+  bool have_cached_key = false;
+  Value cached_key;
+  std::vector<VersionRef> cached_matches;
+  ProbeCounts counts;
+  Status status = Status::OK();
+  while (status.ok()) {
+    Result<bool> have = next_row(&outer_ref);
+    if (!have.ok() || !*have) {
+      status = have.status();
+      break;
+    }
+    (*binding)[outer_var] = &outer_ref;
+    Result<AccessSpec> spec = SpecFor(*inner_access, *binding);
+    if (!spec.ok()) {
+      status = spec.status();
+      break;
+    }
+    if (!have_cached_key || !cached_key.Equals(spec->key)) {
+      cached_key = spec->key;
+      have_cached_key = true;
+      cached_matches.clear();
+      ++counts.probes;
+      inner_win.Begin();
+      status = ProbeInner(inner_access->rel, std::move(spec).value(),
+                          &cached_matches, &counts.examined);
+      inner_win.End(&inner_access->stats.io);
+      if (!status.ok()) break;
+    }
+    status = MatchInner(node, cached_matches, where_prog, when_prog, binding,
+                        &counts, emit);
+  }
+  counts.AddTo(node);
+  return status;
+}
+
+Status QueryExecutor::ProbeParallel(SubstitutionNode* node,
+                                    const Binding& binding,
+                                    const TempRowFn& next_row) {
+  AccessNode* inner_access = AccessOf(node->inner.get());
+  const FilterNode* inner_filter = InnerFilterOf(node);
+  const size_t outer_var =
+      static_cast<size_t>(AccessOf(node->outer.get())->var);
+  Relation* inner_rel = inner_access->rel;
+  IoWindow inner_win;
+  inner_win.AddRelation(inner_rel);
+
+  struct ProbeRow {
+    VersionRef outer;  // the temp row, expanded to the outer schema
+    AccessSpec spec;   // its probe
+  };
+  /// Temp rows [begin, end) of a round, probed by one worker; its counts
+  /// and projected rows merge in batch order after the round.
+  struct Batch {
+    size_t begin = 0;
+    size_t end = 0;
+    std::vector<Row> rows;
+    ProbeCounts counts;
+    Status status = Status::OK();
+  };
+  /// Consecutive temp rows and their batches.
+  struct Round {
+    std::vector<ProbeRow> rows;
+    std::vector<Batch> batches;
+    bool last = false;  // the temp relation ends with this round
+  };
+  /// One worker's private evaluation state: compiled programs keep their
+  /// operand stacks in the program object, so each worker has copies.
+  struct Worker {
+    Binding binding;
+    RowProjector proj;
+    std::vector<CompiledProgram> where_prog;
+    std::vector<CompiledProgram> when_prog;
+    std::vector<VersionRef> matches;
+
+    Status Probe(const QueryExecutor& ex, SubstitutionNode* node,
+                 const Round& round, size_t outer_var, Batch* batch) {
+      const Value* key = nullptr;  // of the cached matches
+      const EmitFn project = [&](const Binding& b) -> Status {
+        Row row;
+        TDB_ASSIGN_OR_RETURN(bool keep, proj.BuildRow(b, &row));
+        if (keep) batch->rows.push_back(std::move(row));
+        return Status::OK();
+      };
+      for (size_t i = batch->begin; i < batch->end; ++i) {
+        const ProbeRow& r = round.rows[i];
+        binding[outer_var] = &r.outer;
+        if (key == nullptr || !key->Equals(r.spec.key)) {
+          key = &r.spec.key;
+          matches.clear();
+          ++batch->counts.probes;
+          TDB_RETURN_NOT_OK(ProbeInner(AccessOf(node->inner.get())->rel,
+                                       r.spec, &matches,
+                                       &batch->counts.examined));
+        }
+        TDB_RETURN_NOT_OK(ex.MatchInner(node, matches, where_prog, when_prog,
+                                        &binding, &batch->counts, project));
+      }
+      binding[outer_var] = nullptr;
+      return Status::OK();
+    }
+  };
+
+  // Reads up to `limit` more temp rows (further only to finish a run of
+  // equal keys) with their probes, cut into batches.  One thread at a time:
+  // it is the only user of the temp cursor and the key program.
+  Binding scratch = binding;
+  ProbeRow carry;  // read past the end of the previous round
+  bool have_carry = false;
+  const auto read_round = [&](Round* round, size_t limit) -> Status {
+    round->rows.clear();
+    round->batches.clear();
+    round->last = false;
+    if (have_carry) {
+      round->rows.push_back(std::move(carry));
+      round->batches.emplace_back();
+      have_carry = false;
+    }
+    while (true) {
+      ProbeRow r;
+      TDB_ASSIGN_OR_RETURN(bool have, next_row(&r.outer));
+      if (!have) {
+        round->last = true;
+        break;
+      }
+      scratch[outer_var] = &r.outer;
+      Result<AccessSpec> spec = SpecFor(*inner_access, scratch);
+      scratch[outer_var] = nullptr;
+      TDB_RETURN_NOT_OK(spec.status());
+      r.spec = std::move(spec).value();
+      std::vector<ProbeRow>& rows = round->rows;
+      const bool new_key =
+          rows.empty() || !rows.back().spec.key.Equals(r.spec.key);
+      if (new_key && rows.size() >= limit) {
+        carry = std::move(r);
+        have_carry = true;
+        break;
+      }
+      if (rows.empty() ||
+          (new_key &&
+           rows.size() - round->batches.back().begin >= kProbeBatchRows)) {
+        round->batches.emplace_back();
+        round->batches.back().begin = rows.size();
+      }
+      rows.push_back(std::move(r));
+    }
+    for (size_t t = 0; t + 1 < round->batches.size(); ++t) {
+      round->batches[t].end = round->batches[t + 1].begin;
+    }
+    if (!round->batches.empty()) {
+      round->batches.back().end = round->rows.size();
+    }
+    return Status::OK();
+  };
+
+  // Only the first round is read before probing starts.  While a round is
+  // probed, the first worker to arrive reads the next one, up to
+  // kProbeGrowth times larger: reading a row costs a fraction of probing
+  // it, so the reader stays ahead of the other workers.
+  Round cur;
+  Round next;
+  size_t limit = kProbeFirstRoundRows;
+  TDB_RETURN_NOT_OK(read_round(&cur, limit));
+  while (!cur.rows.empty()) {
+    const bool read_ahead = !cur.last;
+    limit = std::min(limit * kProbeGrowth, kProbeRoundRows);
+    Status read_status = Status::OK();
+    std::atomic<bool> reader_taken{false};
+    std::atomic<size_t> claim{0};
+    std::atomic<bool> abort{false};
+    const int workers = static_cast<int>(std::min<size_t>(
+        static_cast<size_t>(env_.exec_threads),
+        cur.batches.size() + (read_ahead ? 1 : 0)));
+    inner_win.Begin();
+    WorkerPool::Shared().Run(workers, [&](int) {
+      // Pins of this worker's own: its pages stay valid whatever the other
+      // workers request from the same pagers.
+      BufferPool::ReaderScope reader;
+      if (read_ahead && !reader_taken.exchange(true)) {
+        read_status = read_round(&next, limit);
+      }
+      Worker w{binding, *root_proj_, {}, {}, {}};
+      if (inner_filter != nullptr) {
+        w.where_prog = inner_filter->where_prog;
+        w.when_prog = inner_filter->when_prog;
+      }
+      while (true) {
+        const size_t t = claim.fetch_add(1, std::memory_order_relaxed);
+        if (t >= cur.batches.size()) break;
+        if (abort.load(std::memory_order_relaxed)) continue;
+        Batch& batch = cur.batches[t];
+        batch.status = w.Probe(*this, node, cur, outer_var, &batch);
+        if (!batch.status.ok()) abort.store(true, std::memory_order_relaxed);
+      }
+    });
+    inner_win.End(&inner_access->stats.io);
+
+    // Merge in batch order, which is the serial row order; the first error
+    // in that order is the one the serial loop reports.
+    for (Batch& batch : cur.batches) {
+      TDB_RETURN_NOT_OK(batch.status);
+      batch.counts.AddTo(node);
+      for (Row& row : batch.rows) {
+        TDB_RETURN_NOT_OK((*root_sink_)(std::move(row)));
+      }
+    }
+    TDB_RETURN_NOT_OK(read_status);
+    if (!read_ahead) break;
+    std::swap(cur, next);
+  }
+  return Status::OK();
 }
 
 namespace {

@@ -166,6 +166,57 @@ class QueryExecutor {
   Status ExecuteSubstitution(SubstitutionNode* node, Binding* binding,
                              const EmitFn& emit);
 
+  // --- the substitution's probe phase ---
+
+  /// Reads the next temp row of a substitution, expanded to the outer
+  /// schema, into `ref`; false at the end.
+  using TempRowFn = std::function<Result<bool>(VersionRef* ref)>;
+
+  /// Row counts of a substitution's probe phase, kept per batch by the
+  /// parallel workers and added to the plan nodes in batch order.
+  struct ProbeCounts {
+    uint64_t probes = 0;  // inner access loops: one per run of equal keys
+    uint64_t examined = 0;
+    uint64_t access_emitted = 0;
+    uint64_t temp_rows = 0;  // inner filter loops
+    uint64_t filter_examined = 0;
+    uint64_t filter_emitted = 0;
+    uint64_t emitted = 0;  // the substitution node's rows
+
+    void AddTo(SubstitutionNode* node) const;
+  };
+
+  /// The inner level for one temp row (bound in `binding`): binds each of
+  /// `matches` that qualifies `as of` and passes the inner filter, run
+  /// through `where_prog`/`when_prog` (the filter's programs or a
+  /// worker's copies), and passes the binding to `out`.
+  Status MatchInner(SubstitutionNode* node,
+                    const std::vector<VersionRef>& matches,
+                    const std::vector<CompiledProgram>& where_prog,
+                    const std::vector<CompiledProgram>& when_prog,
+                    Binding* binding, ProbeCounts* counts,
+                    const EmitFn& out) const;
+
+  /// Whether the probe phase may run on the worker pool: >= 2 exec
+  /// threads, the root's split emit path, no active I/O trace, a keyed
+  /// inner access, and every inner store in an uncapped shared pool.
+  bool ProbesRunInParallel(SubstitutionNode* node) const;
+
+  /// Probes the inner variable once per distinct key of consecutive temp
+  /// rows and emits each qualifying pair, on the calling thread.
+  Status ProbeSerial(SubstitutionNode* node, Binding* binding,
+                     const TempRowFn& next_row, const EmitFn& emit);
+
+  /// The same probes on the worker pool.  Temp rows and their probe keys
+  /// are read in bounded rounds, cut into batches where the key changes;
+  /// while one round is probed, one worker reads the next.  Each worker
+  /// probes through its own VersionSource, pins (a BufferPool::ReaderScope)
+  /// and filter-program copies, projecting rows into its batch.  Batches
+  /// merge in order through the root sink on the calling thread, so rows,
+  /// node stats and page requests equal ProbeSerial's.
+  Status ProbeParallel(SubstitutionNode* node, const Binding& binding,
+                       const TempRowFn& next_row);
+
   /// Batched hash join (cost-based planning): runs the build side to
   /// completion into an in-memory table keyed on the normalized build-key
   /// value, then streams the probe side — both sides morsel-batched when

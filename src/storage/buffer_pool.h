@@ -1,7 +1,9 @@
 #ifndef CHRONOQUEL_STORAGE_BUFFER_POOL_H_
 #define CHRONOQUEL_STORAGE_BUFFER_POOL_H_
 
+#include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,41 +36,68 @@ class Pager;
 /// differential tests in tests/buffer_pool_test.cc verify byte-for-byte.
 ///
 /// Index: each pager carries its own frame table (`FrameTable`, a member of
-/// the Pager, guarded by this pool's mutex): a vector indexed by page
-/// number holding the resident frame or null, the list of its resident
-/// frames (least recently used first under a per-file cap), and its pinned
-/// frame.  A hit, MarkDirty and the pin test are therefore O(1) with no
-/// shared lookup structure; Flush (so FlushAndDrop too) and ResidentPages
-/// sort the pager's resident frames into ascending page order.
+/// the Pager): a chunked page-number index of its resident frames that is
+/// written under this pool's mutex and read without it, the list of its
+/// resident frames (least recently used first under a per-file cap), and
+/// the pager's own pin.  Flush (so FlushAndDrop too) and ResidentPages sort
+/// the pager's resident frames into ascending page order.
 ///
-/// Threading: one mutex guards the pool's in-memory metadata only — frame
-/// tables, LRU links, the free list and the stats.  No file I/O runs under
-/// it: a miss attaches its victim to the requester (pinned, so no other
-/// file's eviction can take it) and reads the page after unlocking, and a
-/// flush writes back, and journals the pre-images of, the owner's dirty
-/// frames without it.  That is safe because the pool NEVER writes back a
-/// frame on behalf of a foreign pager — journal hooks and IoCounters are
-/// single-threaded per owner — so eviction considers only clean foreign
-/// frames or the requester's own frames, and a dirty frame stays put until
-/// its owner moves it.  Parallel scan workers from different files may
-/// call in concurrently; the pin rule below keeps their frame pointers
-/// stable.  Each frame carries a generation, bumped whenever it is detached
-/// or (re)loaded; RecordBatch's debug stale-slice check compares it
-/// lock-free, so evicting one frame never invalidates slices of another.
+/// Threading: a hit takes no lock.  It looks the page up in the pager's
+/// index, pins the frame, and re-checks the frame's owner and page, which
+/// cannot change while the pin is held.  The owner pins by storing the
+/// frame in its pager's slot and then checking that the frame is not
+/// blocked; a victim claim blocks the frame and then reads the owner's
+/// slot, so one of the two always sees the other, and the owner's hit
+/// writes no shared frame.  A ReaderScope reader pins by incrementing the
+/// frame's atomic pin count.  The frame's move to the most recently used
+/// end is queued in a per-thread log (the BP-Wrapper scheme, Ding et al.,
+/// ICDE 2009) that the thread applies, in order, under the mutex before its
+/// next victim choice or when the log fills; a single-threaded sequence of
+/// requests therefore evicts exactly the frames an immediate move would.
+/// A ReaderScope's log
+/// keeps only its newest moves and is applied before the scoped reader's
+/// victim choices and when the scope ends, so parallel readers never queue
+/// on the mutex for their hits; their recency order is approximate.  One
+/// mutex guards the rest of the metadata — the index writes, LRU links,
+/// the free list and the miss/eviction stats — and no file I/O runs under
+/// it: a miss claims its victim, publishes it in the index blocked, i.e.
+/// busy (other requests for that page wait for it), and reads the page
+/// after unlocking, and a flush writes back, and journals the pre-images
+/// of, the owner's dirty frames without it.  The pool never writes back a
+/// frame on behalf of a foreign pager — journal hooks and IoCounters
+/// writes are the owner's — so eviction takes a dirty frame only from the
+/// requesting owner.  Each frame carries a generation, bumped whenever it
+/// is detached or (re)loaded; RecordBatch's debug stale-slice check
+/// compares it lock-free, so evicting one frame never invalidates slices
+/// of another.
 ///
-/// Pinning and replacement: a pager's most recently returned frame
-/// (`FrameTable::pinned`) is pinned against FOREIGN eviction until its next
-/// ReadPage/AllocatePage — exactly the lifetime the Pager API already grants
-/// the returned pointer.  The requester itself may still replace its own
-/// pinned frame (at per_file_frames == 1 it always does), matching the
-/// single-frame pointer-invalidation contract.  Only the owner's own calls
-/// move the pin, so the owner may read it without the mutex.  Every
-/// resident frame sits on one pool-wide LRU list (and on its owner's): a
-/// request moves it to the most recently used end, and the victim is the
-/// first frame from the least recently used end that the rules allow.
-/// When none is, the pool allocates past `total_frames` (counted by
-/// `Stats::overflow_frames`).
+/// Pinning and replacement: a pin belongs to a reader.  Outside a
+/// ReaderScope the reader is the pager's owner, whose pin (the slot
+/// `FrameTable::pinned`) is the frame its last ReadPage/AllocatePage
+/// returned — exactly the lifetime the Pager API grants the returned
+/// pointer.  Inside a ReaderScope the calling thread holds its own pin per
+/// pager, so several threads may read one pager at once and each one's page
+/// stays valid until that thread's next request.  A request releases the
+/// reader's previous pin on that pager only after it holds the new frame.
+/// The pool never chooses a pinned frame as a victim, with one exception:
+/// at `per_file_frames == 1` a request replaces its own pager's single
+/// frame, the paper's rule.  Every resident frame sits on one pool-wide LRU
+/// list (and on its owner's); the victim is the first frame from the least
+/// recently used end that is unpinned and, unless it is the requester's
+/// own, clean.  When none is, the pool allocates past `total_frames`
+/// (counted by `Stats::overflow_frames`).
 class BufferPool {
+ private:
+  struct Frame;
+
+  /// One reader's pin on one pager, and the hits it made there (added to
+  /// the pager's and the pool's counters when its ReaderScope ends).
+  struct ReaderPin {
+    Pager* pager = nullptr;
+    Frame* frame = nullptr;
+    uint64_t hits = 0;
+  };
+
  public:
   struct Options {
     /// LRU capacity across every attached file.  When every frame is pinned
@@ -92,7 +121,26 @@ class BufferPool {
     size_t resident = 0;             // frames currently holding a page
   };
 
-  explicit BufferPool(const Options& opts) : opts_(opts) {}
+  /// Makes the calling thread a reader of its own for the scope's lifetime:
+  /// its ReadPage calls pin frames for this thread instead of moving the
+  /// pager's own pin, so threads may read the same pagers concurrently.
+  /// The scope's pins and queued LRU moves are released, and its hits
+  /// counted, when it ends — before any pager it read may close.  A thread
+  /// inside a scope only reads: it never allocates, dirties or writes back
+  /// a page.  Scopes do not nest.
+  class ReaderScope {
+   public:
+    ReaderScope();
+    ~ReaderScope();
+
+    ReaderScope(const ReaderScope&) = delete;
+    ReaderScope& operator=(const ReaderScope&) = delete;
+
+   private:
+    std::vector<ReaderPin> pins_;
+  };
+
+  explicit BufferPool(const Options& opts);
   ~BufferPool() = default;
 
   BufferPool(const BufferPool&) = delete;
@@ -110,9 +158,11 @@ class BufferPool {
 
  private:
   friend class Pager;
-  struct Frame;
 
   static constexpr uint32_t kNoFrame = UINT32_MAX;
+  /// Pin-count bit of a frame no request may pin without the mutex: free,
+  /// claimed as a victim, or being read in.
+  static constexpr uint32_t kBlocked = 1u << 31;
 
   /// One frame's links on an LRU list, as frame ids.  The links live in
   /// arrays indexed by frame id rather than in the frames, so moving a
@@ -130,31 +180,80 @@ class BufferPool {
 
   struct Frame {
     std::vector<uint8_t> data;
-    Pager* owner = nullptr;
-    uint32_t pno = kNoPage;
+    // Written under mu_ while the frame is blocked; read by a hit after it
+    // pins the frame.
+    std::atomic<Pager*> owner{nullptr};
+    std::atomic<uint32_t> pno{kNoPage};
     uint32_t id = 0;  // index into frames_ and the link arrays
-    bool dirty = false;
+    bool dirty = false;  // mu_
     IoCategory category = IoCategory::kData;
+    /// ReaderScope readers and copy-outs holding the frame, plus kBlocked
+    /// while no hit may pin it (the owner's pin is its pager's slot).  An
+    /// indexed frame that is blocked is busy — being read in or written
+    /// back — and requests for its page wait.
+    std::atomic<uint32_t> pins{kBlocked};
     /// Bumped on every detach and (re)load of this frame.
     std::atomic<uint64_t> generation{0};
   };
 
-  /// One pager's frames (a member of the Pager, guarded by `mu_`).
-  struct FrameTable {
-    std::vector<Frame*> by_pno;  // resident frame of each page, or null
-    /// The same frames, linked through `own_links_`: least recently used
-    /// first when the pool has a per-file cap, in attach order otherwise.
-    LruList resident;
-    Frame* pinned = nullptr;     // the frame last returned to the owner
+  /// One pager's page number -> resident frame map: written under mu_,
+  /// read without it.  Fixed-size chunks, allocated on first use, hang off
+  /// a directory that is replaced by a larger copy when the file outgrows
+  /// it; every directory stays allocated until the pager closes, because a
+  /// hit may still be reading an old one.
+  class FrameIndex {
+   public:
+    Frame* Get(uint32_t pno) const {
+      const Dir* dir = dir_.load(std::memory_order_acquire);
+      const uint32_t c = pno >> kChunkBits;
+      if (dir == nullptr || c >= dir->size()) return nullptr;
+      const Chunk* chunk = (*dir)[c].load(std::memory_order_acquire);
+      if (chunk == nullptr) return nullptr;
+      return (*chunk)[pno & kChunkMask].load(std::memory_order_acquire);
+    }
+    void Set(uint32_t pno, Frame* f);
+
+   private:
+    static constexpr uint32_t kChunkBits = 6;
+    static constexpr uint32_t kChunkMask = (1u << kChunkBits) - 1;
+    using Chunk = std::array<std::atomic<Frame*>, 1u << kChunkBits>;
+    using Dir = std::vector<std::atomic<Chunk*>>;
+
+    std::atomic<Dir*> dir_{nullptr};
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::vector<std::unique_ptr<Dir>> dirs_;
   };
 
-  // The Pager-facing surface, called only from Pager methods of the owning
-  // pager `p`.  Each takes the pool mutex for its metadata steps and does
-  // its file I/O without it.
+  /// One pager's frames (a member of the Pager).
+  struct FrameTable {
+    FrameIndex by_pno;  // resident frame of each page
+    /// The same frames, linked through `own_links_` (mu_): least recently
+    /// used first when the pool has a per-file cap, in attach order
+    /// otherwise.
+    LruList resident;
+    /// The owner's pin: the frame last returned outside a ReaderScope.
+    /// Only the owner's own calls write it; a victim claim reads it.
+    std::atomic<Frame*> pinned{nullptr};
+    /// Hits of the owner's requests; only the owner writes it.
+    std::atomic<uint64_t> owner_hits{0};
+  };
+
+  /// Registers a pager on this pool (its owner hits count in GetStats) and
+  /// forgets it; the pager's constructor and destructor call these.
+  void AddPager(Pager* p);
+  void RemovePager(Pager* p);
+
+  // The Pager-facing surface, called from Pager methods of `p`.  Each takes
+  // the pool mutex for its metadata steps, if at all, and does its file I/O
+  // without it.
   Result<uint8_t*> ReadPage(Pager* p, uint32_t pno, IoCategory cat);
+  /// ReadPage past a failed hit; `old` is the reader's pin before it.
+  Result<uint8_t*> ReadMissed(Pager* p, uint32_t pno, IoCategory cat,
+                              ReaderPin* rp, Frame* old);
   void MarkDirty(Pager* p);
-  /// Parallel scan workers of one pager may call this concurrently: a miss
-  /// reads into `out` without the mutex and counts under it.
+  /// Parallel scan workers of one pager may call this concurrently: a hit
+  /// is copied out under a pin, a miss read into `out` without the mutex
+  /// and counted under it.
   Status ReadPageInto(Pager* p, uint32_t pno, IoCategory cat, uint8_t* out);
   Status PrimeFrame(Pager* p, uint32_t pno, IoCategory cat);
   Result<uint8_t*> AllocatePage(Pager* p, uint32_t pno, IoCategory cat);
@@ -165,28 +264,91 @@ class BufferPool {
   Status FlushAndDrop(Pager* p);
   /// Forget `p`'s frames WITHOUT writing dirty ones back (rollback).
   void DiscardAll(Pager* p);
+  /// Generation of the frame the calling reader pins on `p`, or null.
+  static const std::atomic<uint64_t>* PinnedGeneration(const Pager* p);
+
+  /// The calling thread's ReaderScope pin on `p`, or null outside a scope.
+  static ReaderPin* ScopePin(const Pager* p);
+  /// Ends a ReaderScope: drops its pins, counts its hits and applies the
+  /// thread's queued moves.
+  static void ReleaseReader(std::vector<ReaderPin>* pins);
+  /// The frame the calling reader (`rp`, or `p`'s owner when null) pins on
+  /// `p`, or null.
+  static Frame* Held(const Pager* p, const ReaderPin* rp);
+  /// Moves the reader's pin on `p` to `f`, which no claim can take
+  /// meanwhile (mu_ held).
+  static void Hold(Pager* p, ReaderPin* rp, Frame* f);
+  /// Drops the reader's pin if it is on `f`.
+  static void Release(Pager* p, ReaderPin* rp, Frame* f);
+  /// The owner's hit without the mutex: its pin is the pager's slot, so a
+  /// hit writes no shared frame.  Null when `pno` is not pinnable now.
+  static Frame* OwnerHit(Pager* p, uint32_t pno);
+  /// Re-pins the owner's frame of before a failed OwnerHit, if it is still
+  /// `p`'s (mu_ held).
+  static void RestorePin(Pager* p, Frame* old);
+  /// A ReaderScope reader's hit without the mutex, through the frame's pin
+  /// count.
+  static Frame* ScopedHit(const Pager* p, uint32_t pno, ReaderPin* rp);
+  /// Pins `p`'s resident page `pno` by its count, without the mutex; null
+  /// when it is not resident or not pinnable right now.
+  static Frame* TryPin(const Pager* p, uint32_t pno);
+  static void Unpin(Frame* f) {
+    f->pins.fetch_sub(1, std::memory_order_release);
+  }
+  void CountHit(Pager* p, ReaderPin* rp);
+
+  /// Queues `f`'s move to the most recently used end in the calling
+  /// thread's log for this pool; `scoped` when the caller is in a
+  /// ReaderScope.
+  void QueueMove(const Frame* f, bool scoped);
+
+  /// `p`'s frame indexed for page `pno`, or null.  Safe without mu_; only
+  /// a pin (or mu_) keeps the answer current.
+  static Frame* Find(const Pager* p, uint32_t pno);
 
   // All require mu_ held.
-  static Frame* Find(const Pager* p, uint32_t pno);
+  /// Applies the calling thread's queued moves for this pool, in order.
+  void ApplyQueuedMoves();
   /// `p`'s resident frames (only the dirty ones when `dirty_only`) in
   /// ascending page order.
   std::vector<Frame*> SortedResident(const Pager* p, bool dirty_only) const;
-  /// A detached frame for `p`'s next page.  Releases `lock` (which holds
-  /// mu_) while it writes back the requester's own dirty victim.
-  Result<Frame*> Victim(Pager* p, std::unique_lock<std::mutex>& lock);
-  /// Attaches a victim to `p`'s page `pno` and reads it in with `lock`
-  /// released; on a failed read the frame goes back to the free list.
-  Result<Frame*> LoadVictim(Pager* p, uint32_t pno, IoCategory cat,
-                            bool count, std::unique_lock<std::mutex>& lock);
-  /// Makes `f` hold page `pno` of `p` (the contents are the caller's job)
-  /// and `p`'s pinned, most recently used frame.
+  /// Takes `f` for eviction (blocks it) if no reader pins it.
+  static bool Claim(Frame* f);
+  /// Returns `p`'s page `pno` pinned once for the caller, reading it in
+  /// through a victim on a miss (counted when `count`).  Counts the request
+  /// as a hit or miss when `account`.  Takes `lock` holding mu_, releases
+  /// it while it reads, writes back or waits, and returns with it released
+  /// (on success).
+  Result<Frame*> Request(Pager* p, uint32_t pno, IoCategory cat,
+                         ReaderPin* rp, bool account, bool count,
+                         std::unique_lock<std::mutex>& lock);
+  /// Whether the indexed `f` is busy (see Frame::pins).
+  static bool Busy(const Frame* f) { return (f->pins.load() & kBlocked) != 0; }
+  /// Waits once, with `lock` holding mu_, for the busy `f` to change; the
+  /// caller looks the page up again.
+  void WaitWhileBusy(const Frame* f, std::unique_lock<std::mutex>& lock);
+  /// Publishes the loaded `f` (the requester's pin stays) and wakes the
+  /// requests waiting for it; called without mu_.
+  void Unblock(Frame* f);
+  /// Wakes requests waiting for a busy frame (mu_ held).
+  void NotifyWaiters() {
+    if (waiters_.load() > 0) not_busy_.notify_all();
+  }
+  /// A claimed, detached frame for `p`'s next page, or null when the
+  /// caller must retry (its pager's single frame is briefly pinned by a
+  /// copy-out).  Releases `lock` while it writes back the requester's own
+  /// dirty victim.
+  Result<Frame*> Victim(Pager* p, ReaderPin* rp,
+                        std::unique_lock<std::mutex>& lock);
+  /// Makes the claimed `f` hold page `pno` of `p` (the contents are the
+  /// caller's job) at the most recently used end.  It stays blocked.
   void Attach(Frame* f, Pager* p, uint32_t pno, IoCategory cat, bool dirty);
-  /// Forgets `f`'s page, dirty or not.
+  /// Forgets the claimed `f`'s page, dirty or not.
   void Detach(Frame* f);
-  /// Moves `p`'s resident `f` to the most recently used end and pins it.
-  void Touch(Pager* p, Frame* f);
-  static bool PinnedByOwner(const Frame* f);
-  /// Allocates a frame (the caller decides whether the pool may grow).
+  /// Moves the resident frame `id` to the most recently used end.
+  void Touch(uint32_t id);
+  /// Allocates a (blocked) frame; the caller decides whether the pool may
+  /// grow.
   Frame* NewFrame();
   /// Intrusive list steps over frame ids linked through `links`.
   static void PushMru(LruList* list, std::vector<Links>& links, uint32_t id);
@@ -194,14 +356,25 @@ class BufferPool {
   static void MoveToMru(LruList* list, std::vector<Links>& links,
                         uint32_t id);
 
+  /// The calling thread's ReaderScope pins, or null outside a scope.
+  static thread_local std::vector<ReaderPin>* reader_pins_;
+
   mutable std::mutex mu_;
+  std::condition_variable not_busy_;
+  std::atomic<int> waiters_{0};  // requests waiting on not_busy_
   const Options opts_;
+  /// Tags this pool's entries in the per-thread move logs; never reused.
+  const uint64_t serial_;
   std::vector<std::unique_ptr<Frame>> frames_;  // by frame id
   std::vector<Frame*> free_;
   LruList lru_;                    // every resident frame, via all_links_
   std::vector<Links> all_links_;   // by frame id: links on lru_
   std::vector<Links> own_links_;   // by frame id: links on the owner's list
-  Stats stats_;
+  Stats stats_;                    // all but hits (mu_)
+  std::vector<const FrameTable*> tables_;  // of the registered pagers (mu_)
+  /// Hits of ReaderScopes, copy-outs and closed pagers; the open pagers'
+  /// owner hits are in their tables.
+  std::atomic<uint64_t> hits_{0};
   obs::Counter* overflow_counter_ = nullptr;
 };
 

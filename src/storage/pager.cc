@@ -31,6 +31,7 @@ Pager::Pager(std::unique_ptr<RandomRWFile> file, std::string path,
       pool_(sopts.pool) {
   if (pool_ != nullptr) {
     pool_cap_ = pool_->per_file_frames();
+    pool_->AddPager(this);
   } else {
     frames_ = std::vector<Frame>(static_cast<size_t>(frames));
     for (Frame& frame : frames_) frame.data.resize(page_size_);
@@ -41,6 +42,7 @@ Pager::~Pager() {
   if (pool_ != nullptr) {
     // No frame may outlive its owner in the pool, written back or not.
     if (!pool_->FlushAndDrop(this).ok()) pool_->DiscardAll(this);
+    pool_->RemovePager(this);
   } else {
     (void)Flush();
   }
@@ -358,11 +360,7 @@ void Pager::ForgetFrames() {
 }
 
 const std::atomic<uint64_t>* Pager::frame_generation() const {
-  if (pool_ != nullptr) {
-    // Only this pager's own calls move its pin (see BufferPool).
-    const BufferPool::Frame* f = pool_table_.pinned;
-    return f == nullptr ? nullptr : &f->generation;
-  }
+  if (pool_ != nullptr) return BufferPool::PinnedGeneration(this);
   return last_touched_ == nullptr ? nullptr : &last_touched_->generation;
 }
 

@@ -71,7 +71,8 @@ class Pager {
 
   /// Brings page `pno` into a frame (evicting the LRU frame as needed) and
   /// returns the frame pointer.  The pointer is invalidated by the next
-  /// ReadPage/AllocatePage call.
+  /// ReadPage/AllocatePage call — in pool mode, by the calling reader's
+  /// next request (see BufferPool::ReaderScope).
   Result<uint8_t*> ReadPage(uint32_t pno, IoCategory cat);
 
   /// Marks the most recently returned frame dirty (its write will be
@@ -84,9 +85,9 @@ class Pager {
   /// and counted as one page read — exactly what a single-frame serial
   /// scan would have counted for that page.  In private-frame mode an
   /// internal mutex serializes the workers of one parallel pipeline while
-  /// the serial ReadPage path stays lock-free; in pool mode the shared
-  /// pool's mutex guards the frame lookup, the copy-out and the counters,
-  /// and a missed page is read outside it, so workers read in parallel.
+  /// the serial ReadPage path stays lock-free; in pool mode a resident page
+  /// is copied out under a pin without the pool's mutex, and a missed page
+  /// is read outside it and counted under it, so workers read in parallel.
   Status ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out);
 
   /// Coordinator-only repair after a parallel scan: makes `pno` the
@@ -153,8 +154,9 @@ class Pager {
   /// pool evicting it for any file.  A frame pointer returned by ReadPage —
   /// and every record slice cut from it — still holds its page while the
   /// frame's generation is unchanged; batch consumers snapshot it and
-  /// assert (debug builds) before dereferencing their slices.  Read by the
-  /// owning thread only.
+  /// assert (debug builds) before dereferencing their slices.  In pool
+  /// mode it is the calling reader's frame (its ReaderScope's inside one).
+  /// Read by the requesting thread only.
   const std::atomic<uint64_t>* frame_generation() const;
 
   /// Truncates to zero pages (used by `modify`, which rebuilds the file).
@@ -231,7 +233,7 @@ class Pager {
   Frame* last_touched_ = nullptr;
   uint64_t tick_ = 0;
   /// This file's frames in the shared pool (pool mode only); owned here,
-  /// guarded by the pool's mutex.
+  /// written under the pool's mutex.
   BufferPool::FrameTable pool_table_;
 };
 

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -955,6 +956,234 @@ TEST_F(BufferPoolTest, VictimOrderMatchesTheLeastRecentlyUsedRule) {
     EXPECT_EQ(counters[i].TotalReads(), model.reads(static_cast<int>(i)));
     EXPECT_EQ(counters[i].TotalWrites(), model.writes(static_cast<int>(i)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent readers: threads in ReaderScopes share pagers in a pool
+// smaller than their pages.
+// ---------------------------------------------------------------------------
+
+/// The 32-bit word every payload slot of page `pno` of pager `p` carries.
+uint32_t Stamp(int p, uint32_t pno) {
+  return static_cast<uint32_t>(p) << 16 | pno;
+}
+
+/// Allocates `n` pages of `pager` (number `p`), fills each page's payload
+/// with its stamp, and flushes and drops them.
+void SeedStamped(Pager* pager, int p, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    auto pno = pager->AllocatePage(IoCategory::kData);
+    ASSERT_TRUE(pno.ok());
+    auto frame = pager->ReadPage(*pno, IoCategory::kData);
+    ASSERT_TRUE(frame.ok());
+    const uint32_t stamp = Stamp(p, *pno);
+    for (size_t off = 8; off + 4 <= pager->page_size(); off += 4) {
+      std::memcpy(*frame + off, &stamp, 4);
+    }
+    pager->MarkDirty();
+  }
+  ASSERT_TRUE(pager->FlushAndDrop().ok());
+}
+
+/// Whether every payload word of `frame` is page `pno`'s stamp.
+bool CarriesStamp(const uint8_t* frame, uint32_t page_size, int p,
+                  uint32_t pno) {
+  const uint32_t stamp = Stamp(p, pno);
+  for (size_t off = 8; off + 4 <= page_size; off += 4) {
+    uint32_t word;
+    std::memcpy(&word, frame + off, 4);
+    if (word != stamp) return false;
+  }
+  return true;
+}
+
+TEST_F(BufferPoolTest, ConcurrentReadersKeepTheirPinnedPages) {
+  constexpr int kPagers = 3;
+  constexpr uint32_t kPages = 12;  // 36 pages over 16 frames
+  constexpr int kThreads = 8;
+  constexpr int kScopes = 40;
+  constexpr int kRequestsPerScope = 50;
+  BufferPool::Options po;
+  po.total_frames = 16;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  std::vector<IoCounters> counters(kPagers);
+  std::vector<std::unique_ptr<Pager>> pagers;
+  for (int p = 0; p < kPagers; ++p) {
+    pagers.push_back(Open(std::string(1, 'a' + p), &pool, &counters[p]));
+    SeedStamped(pagers.back().get(), p, kPages);
+  }
+  const BufferPool::Stats base = pool.GetStats();
+
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(1000 + t);
+      auto fail = [&](const std::string& what) {
+        if (failures[t].empty()) failures[t] = what;
+      };
+      for (int scope = 0; scope < kScopes && failures[t].empty(); ++scope) {
+        BufferPool::ReaderScope reader;
+        // This reader's pin on each pager: page, frame, generation.
+        struct Held {
+          uint32_t pno = kNoPage;
+          const uint8_t* frame = nullptr;
+          uint64_t generation = 0;
+        };
+        std::vector<Held> held(kPagers);
+        for (int k = 0; k < kRequestsPerScope; ++k) {
+          // Every page still pinned by this reader is intact.
+          for (int p = 0; p < kPagers; ++p) {
+            const Held& h = held[p];
+            if (h.frame == nullptr) continue;
+            if (pagers[p]->frame_generation()->load() != h.generation) {
+              fail(StrPrintf("pager %d page %u: generation moved while pinned",
+                             p, h.pno));
+            }
+            if (!CarriesStamp(h.frame, po.page_size, p, h.pno)) {
+              fail(StrPrintf("pager %d page %u: pinned bytes changed", p,
+                             h.pno));
+            }
+          }
+          const int p = static_cast<int>(rng() % kPagers);
+          const uint32_t pno = rng() % kPages;
+          auto frame = pagers[p]->ReadPage(pno, IoCategory::kData);
+          if (!frame.ok()) {
+            fail(frame.status().ToString());
+            break;
+          }
+          if (!CarriesStamp(*frame, po.page_size, p, pno)) {
+            fail(StrPrintf("pager %d page %u: read another page", p, pno));
+          }
+          held[p] = Held{pno, *frame, pagers[p]->frame_generation()->load()};
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": " << failures[t];
+  }
+
+  const BufferPool::Stats s = pool.GetStats();
+  const uint64_t requests =
+      uint64_t{kThreads} * kScopes * kRequestsPerScope;
+  EXPECT_EQ(s.hits - base.hits + s.misses - base.misses, requests);
+  // Every miss is one counted read, on its own pager's counters.
+  uint64_t reads = 0;
+  for (const IoCounters& c : counters) reads += c.TotalReads();
+  EXPECT_EQ(reads, s.misses - base.misses);
+  EXPECT_GT(s.evictions, base.evictions);  // the pool really was too small
+}
+
+TEST_F(BufferPoolTest, ConcurrentOwnersKeepTheirPinsAcrossForeignEvictions) {
+  // Uncapped: each owner's hits pin through its pager's slot without the
+  // mutex while the other owners' misses evict foreign frames.
+  constexpr int kPagers = 4;
+  constexpr uint32_t kPages = 12;  // 48 pages over 16 frames
+  constexpr int kRequests = 2000;
+  BufferPool::Options po;
+  po.total_frames = 16;
+  po.per_file_frames = 0;
+  BufferPool pool(po);
+  std::vector<IoCounters> counters(kPagers);
+  std::vector<std::unique_ptr<Pager>> pagers;
+  for (int p = 0; p < kPagers; ++p) {
+    pagers.push_back(Open(std::string(1, 'a' + p), &pool, &counters[p]));
+    SeedStamped(pagers.back().get(), p, kPages);
+  }
+  const BufferPool::Stats base = pool.GetStats();
+
+  std::vector<std::string> failures(kPagers);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPagers; ++p) {
+    threads.emplace_back([&, p] {
+      std::mt19937 rng(3000 + p);
+      for (int k = 0; k < kRequests && failures[p].empty(); ++k) {
+        const uint32_t pno = rng() % kPages;
+        auto frame = pagers[p]->ReadPage(pno, IoCategory::kData);
+        if (!frame.ok()) {
+          failures[p] = frame.status().ToString();
+          break;
+        }
+        const uint64_t generation = pagers[p]->frame_generation()->load();
+        std::this_thread::yield();  // let the other owners evict
+        if (!CarriesStamp(*frame, po.page_size, p, pno) ||
+            pagers[p]->frame_generation()->load() != generation) {
+          failures[p] = StrPrintf("page %u changed while pinned", pno);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int p = 0; p < kPagers; ++p) {
+    EXPECT_TRUE(failures[p].empty()) << "pager " << p << ": " << failures[p];
+  }
+  const BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.hits - base.hits + s.misses - base.misses,
+            uint64_t{kPagers} * kRequests);
+  EXPECT_GT(s.foreign_evictions, base.foreign_evictions);
+}
+
+TEST_F(BufferPoolTest, ConcurrentOwnersAtCapOneReplaceTheirOwnFrame) {
+  // At per_file_frames == 1 each pager has one reader, its owner; owners
+  // of different pagers run concurrently and each request replaces the
+  // owner's single frame.
+  constexpr int kPagers = 4;
+  constexpr uint32_t kPages = 6;
+  constexpr int kRequests = 400;
+  BufferPool::Options po;
+  po.total_frames = 8;
+  po.per_file_frames = 1;
+  BufferPool pool(po);
+  std::vector<IoCounters> counters(kPagers);
+  std::vector<std::unique_ptr<Pager>> pagers;
+  for (int p = 0; p < kPagers; ++p) {
+    pagers.push_back(Open(std::string(1, 'a' + p), &pool, &counters[p]));
+    SeedStamped(pagers.back().get(), p, kPages);
+  }
+  const BufferPool::Stats base = pool.GetStats();
+
+  std::vector<std::string> failures(kPagers);
+  std::vector<uint64_t> switches(kPagers, 0);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPagers; ++p) {
+    threads.emplace_back([&, p] {
+      std::mt19937 rng(2000 + p);
+      uint32_t last = kNoPage;
+      for (int k = 0; k < kRequests && failures[p].empty(); ++k) {
+        const uint32_t pno = rng() % kPages;
+        auto frame = pagers[p]->ReadPage(pno, IoCategory::kData);
+        if (!frame.ok()) {
+          failures[p] = frame.status().ToString();
+          break;
+        }
+        if (!CarriesStamp(*frame, po.page_size, p, pno)) {
+          failures[p] = StrPrintf("page %u: read another page", pno);
+        }
+        if (pagers[p]->ResidentPages() != std::vector<uint32_t>{pno}) {
+          failures[p] = StrPrintf("page %u: more than the one frame", pno);
+        }
+        if (pno != last) ++switches[p];
+        last = pno;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  uint64_t misses = 0;
+  for (int p = 0; p < kPagers; ++p) {
+    EXPECT_TRUE(failures[p].empty()) << "pager " << p << ": " << failures[p];
+    // The paper's rule: every page switch is a miss and a counted read.
+    EXPECT_EQ(counters[p].TotalReads(), switches[p]) << "pager " << p;
+    misses += switches[p];
+  }
+  const BufferPool::Stats s = pool.GetStats();
+  EXPECT_EQ(s.misses - base.misses, misses);
+  EXPECT_EQ(s.hits - base.hits + s.misses - base.misses,
+            uint64_t{kPagers} * kRequests);
+  EXPECT_EQ(s.overflow_frames, base.overflow_frames);
+  EXPECT_LE(s.resident, static_cast<size_t>(kPagers));
 }
 
 // ---------------------------------------------------------------------------

@@ -300,6 +300,70 @@ TEST_F(ExplainTest, SubstitutionStatsCountProbes) {
   EXPECT_GT(sub->stats.io.TotalWrites(), 0u);
 }
 
+/// The substitution's inner level runs once per temp row: its filter counts
+/// one loop per temp row, the probe phase's wall time lands on the inner
+/// nodes, and every node's loops, examined and emitted are the same when
+/// the probes run on four threads (4 KiB pages, uncapped shared pool).
+TEST(ExplainSubstitutionTest, InnerLevelStatsMatchAcrossThreadCounts) {
+  std::string base;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    MemEnv env;
+    DatabaseOptions options;
+    options.env = &env;
+    options.page_size = 4096;
+    options.pool_frames = 256;
+    options.pool_file_cap = -1;
+    options.exec_threads = threads;
+    auto opened = Database::Open("/db", options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Database* db = opened->get();
+    auto exec = [&](const std::string& text) {
+      auto r = db->Execute(text);
+      EXPECT_TRUE(r.ok()) << text << " -> " << r.status().ToString();
+    };
+    exec("create persistent interval hrel (id = i4, amount = i4, pad = c96)");
+    exec("create persistent interval irel (id = i4, amount = i4, pad = c96)");
+    for (int i = 0; i < 64; ++i) {
+      exec("append to hrel (id = " + std::to_string(i) + ", amount = " +
+           std::to_string(i * 7) + ")");
+      exec("append to irel (id = " + std::to_string(i % 40) +
+           ", amount = " + std::to_string(i * 5) + ")");
+    }
+    exec("modify hrel to hash on id where fillfactor = 100");
+    exec("range of h is hrel");
+    exec("range of i is irel");
+    exec("replace i (amount = i.amount + 3) where i.id < 20");
+
+    auto r = db->Execute(
+        "retrieve (h.id, i.amount) where h.id = i.id and "
+        "h.amount <= i.amount");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r->plan, nullptr);
+    ASSERT_EQ(r->plan->root->child->kind, PlanNode::Kind::kSubstitution);
+    const auto* sub =
+        static_cast<const SubstitutionNode*>(r->plan->root->child.get());
+    ASSERT_EQ(sub->inner->kind, PlanNode::Kind::kFilter);
+    const auto* filter = static_cast<const FilterNode*>(sub->inner.get());
+    const AccessNode* inner = AccessOf(sub->inner.get());
+    const uint64_t temp_rows = AccessOf(sub->outer.get())->stats.rows_emitted;
+    ASSERT_GT(temp_rows, 64u);
+    EXPECT_EQ(filter->stats.loops, temp_rows);
+    EXPECT_GT(inner->stats.loops, 0u);
+    EXPECT_LE(inner->stats.loops, temp_rows);
+    EXPECT_GT(filter->stats.rows_examined, filter->stats.rows_emitted);
+    EXPECT_GT(inner->stats.wall_nanos, 0u);
+    EXPECT_GE(filter->stats.wall_nanos, inner->stats.wall_nanos);
+
+    const std::string tree = r->plan->Describe(/*with_stats=*/true);
+    if (threads == 1) {
+      base = tree;
+    } else {
+      EXPECT_EQ(tree, base);
+    }
+  }
+}
+
 // --- explain analyze -----------------------------------------------------
 
 TEST(MaskTimesTest, NormalizesOnlyWallClock) {

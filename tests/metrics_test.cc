@@ -83,6 +83,58 @@ TEST(HistogramTest, RecordAccumulatesCountSumBuckets) {
   EXPECT_EQ(h.bucket(7), 1u);  // 100
 }
 
+/// A snapshot holding `counts[i]` samples in log2 bucket i.
+obs::HistogramSnapshot SnapshotOf(const std::vector<uint64_t>& counts) {
+  obs::HistogramSnapshot snap;
+  snap.buckets = counts;
+  for (uint64_t c : counts) snap.count += c;
+  return snap;
+}
+
+TEST(HistogramQuantileTest, EmptySnapshotIsZero) {
+  obs::HistogramSnapshot empty;
+  EXPECT_EQ(empty.Quantile(0), 0u);
+  EXPECT_EQ(empty.Quantile(50), 0u);
+  EXPECT_EQ(empty.Quantile(100), 0u);
+}
+
+TEST(HistogramQuantileTest, ExtremesBoundTheFirstAndLastSample) {
+  // Samples 1, 5, 5, 900: buckets 1, 3 (twice) and 10.
+  MetricsRegistry registry(/*enabled=*/true);
+  Histogram* named = registry.histogram("lat");
+  for (uint64_t v : {1u, 5u, 5u, 900u}) named->Record(v);
+  const obs::HistogramSnapshot snap = registry.Snapshot().histograms.at("lat");
+  ASSERT_EQ(snap.count, 4u);
+  EXPECT_EQ(snap.Quantile(0), 1u);       // p=0 selects the first sample
+  EXPECT_EQ(snap.Quantile(100), 1023u);  // p=100 bounds the maximum
+  EXPECT_EQ(snap.Quantile(-5), 1u);      // clamped to 0
+  EXPECT_EQ(snap.Quantile(250), 1023u);  // clamped to 100
+}
+
+TEST(HistogramQuantileTest, RankOnABucketEdgeStaysInThatBucket) {
+  // Two samples in bucket 1 (value 1), two in bucket 2 (values 2..3).
+  const obs::HistogramSnapshot snap = SnapshotOf({0, 2, 2});
+  // p=50 ranks the 2nd of 4 samples: the last one of bucket 1.
+  EXPECT_EQ(snap.Quantile(50), 1u);
+  // Just past the edge the rank is still 2 (2.04 + 0.5 rounds down) ...
+  EXPECT_EQ(snap.Quantile(51), 1u);
+  // ... and p=63 ranks the 3rd sample, the first of bucket 2.
+  EXPECT_EQ(snap.Quantile(63), 3u);
+  EXPECT_EQ(snap.Quantile(75), 3u);
+}
+
+TEST(MetricsSnapshotTest, ToJsonEscapesControlCharactersInNames) {
+  MetricsSnapshot snap;
+  snap.counters["a\x01" "b"] = 1;
+  snap.counters["q\"t\\n\nl\tt"] = 2;
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"a\\u0001b\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"q\\\"t\\\\n\\nl\\tt\":2"), std::string::npos)
+      << json;
+  // No raw control character survives.
+  for (char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+}
+
 // --- Trace sink ----------------------------------------------------------
 
 TEST(TraceSinkTest, RingKeepsOnlyTheTail) {
