@@ -6,6 +6,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -153,44 +156,134 @@ Env* Env::Default() {
   return env;
 }
 
-/// In-memory file: a shared byte vector guarded by the owning env's mutex.
-class MemFile : public RandomRWFile {
- public:
-  MemFile(MemEnv* env, std::shared_ptr<std::vector<uint8_t>> data)
-      : env_(env), data_(std::move(data)) {}
+/// One in-memory file.  Its bytes live in fixed-size blocks that never
+/// move: growth adds blocks, and a shrunk file keeps its blocks until the
+/// file itself is gone.  So a read copies without a lock: it loads the
+/// size, and every block below that size was published, by a release
+/// store, before the size that covers it.  Writers hold the env's mutex.
+/// As with a real file, only a read that races a write of the same bytes
+/// can see a partial write.
+struct MemEnv::FileData {
+  static constexpr uint64_t kBlockBytes = 16 << 10;
+  static constexpr size_t kBlocksPerChunk = 1024;
+  static constexpr size_t kChunks = 256;  // up to 4 GiB per file
+  using Chunk = std::array<std::atomic<uint8_t*>, kBlocksPerChunk>;
 
-  Status Read(uint64_t offset, size_t n, uint8_t* buf) const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
-    if (offset + n > data_->size()) {
+  std::atomic<uint64_t> size{0};
+  std::array<std::atomic<Chunk*>, kChunks> chunks{};
+  // Written under the env's mutex only.
+  uint64_t blocks = 0;  // blocks allocated
+  std::vector<std::unique_ptr<Chunk>> owned_chunks;
+  std::vector<std::unique_ptr<uint8_t[]>> owned_blocks;
+
+  uint8_t* Block(uint64_t b) const {
+    return (*chunks[b / kBlocksPerChunk].load(std::memory_order_acquire))
+        [b % kBlocksPerChunk]
+            .load(std::memory_order_acquire);
+  }
+
+  /// Copies [offset, offset + n) out; the caller checked the size.
+  void CopyOut(uint64_t offset, size_t n, uint8_t* out) const {
+    while (n > 0) {
+      const uint64_t in_block = offset % kBlockBytes;
+      const size_t len =
+          static_cast<size_t>(std::min<uint64_t>(n, kBlockBytes - in_block));
+      std::memcpy(out, Block(offset / kBlockBytes) + in_block, len);
+      offset += len;
+      out += len;
+      n -= len;
+    }
+  }
+
+  Status Read(uint64_t offset, size_t n, uint8_t* out) const {
+    if (offset + n > size.load(std::memory_order_acquire)) {
       return Status::IOError("read past EOF in memory file");
     }
-    std::memcpy(buf, data_->data() + offset, n);
+    CopyOut(offset, n, out);
     return Status::OK();
+  }
+
+  // The rest require the env's mutex.
+
+  /// Sets the size, zero-filling the bytes a growth exposes.
+  Status Resize(uint64_t n) {
+    const uint64_t old = size.load(std::memory_order_relaxed);
+    if (n > old) {
+      if (n > kBlockBytes * kBlocksPerChunk * kChunks) {
+        return Status::IOError("memory file too large");
+      }
+      while (blocks * kBlockBytes < n) AddBlock();
+      for (uint64_t at = old; at < n;) {
+        const uint64_t in_block = at % kBlockBytes;
+        const uint64_t len = std::min(n - at, kBlockBytes - in_block);
+        std::memset(Block(at / kBlockBytes) + in_block, 0, len);
+        at += len;
+      }
+    }
+    size.store(n, std::memory_order_release);
+    return Status::OK();
+  }
+
+  Status Write(uint64_t offset, const uint8_t* data, size_t n) {
+    if (offset + n > size.load(std::memory_order_relaxed)) {
+      TDB_RETURN_NOT_OK(Resize(offset + n));
+    }
+    while (n > 0) {
+      const uint64_t in_block = offset % kBlockBytes;
+      const size_t len =
+          static_cast<size_t>(std::min<uint64_t>(n, kBlockBytes - in_block));
+      std::memcpy(Block(offset / kBlockBytes) + in_block, data, len);
+      offset += len;
+      data += len;
+      n -= len;
+    }
+    return Status::OK();
+  }
+
+ private:
+  void AddBlock() {
+    const size_t c = blocks / kBlocksPerChunk;
+    if (chunks[c].load(std::memory_order_relaxed) == nullptr) {
+      owned_chunks.push_back(std::make_unique<Chunk>());  // all null
+      chunks[c].store(owned_chunks.back().get(), std::memory_order_release);
+    }
+    // Left uninitialized: Resize zero-fills each byte it exposes.
+    owned_blocks.emplace_back(new uint8_t[kBlockBytes]);
+    (*chunks[c].load(std::memory_order_relaxed))[blocks % kBlocksPerChunk]
+        .store(owned_blocks.back().get(), std::memory_order_release);
+    ++blocks;
+  }
+};
+
+/// An open handle on an in-memory file.
+class MemFile : public RandomRWFile {
+ public:
+  MemFile(std::mutex* mu, std::shared_ptr<MemEnv::FileData> data)
+      : mu_(mu), data_(std::move(data)) {}
+
+  Status Read(uint64_t offset, size_t n, uint8_t* buf) const override {
+    return data_->Read(offset, n, buf);
   }
 
   Status Write(uint64_t offset, const uint8_t* data, size_t n) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
-    if (offset + n > data_->size()) data_->resize(offset + n, 0);
-    std::memcpy(data_->data() + offset, data, n);
-    return Status::OK();
+    std::lock_guard<std::mutex> lock(*mu_);
+    return data_->Write(offset, data, n);
   }
 
   Result<uint64_t> Size() const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
-    return static_cast<uint64_t>(data_->size());
+    return data_->size.load(std::memory_order_acquire);
   }
 
   Status Truncate(uint64_t size) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
-    data_->resize(size, 0);
-    return Status::OK();
+    std::lock_guard<std::mutex> lock(*mu_);
+    return data_->Resize(size);
   }
 
   Status Sync() override { return Status::OK(); }
 
  private:
-  MemEnv* env_;
-  std::shared_ptr<std::vector<uint8_t>> data_;
+  std::mutex* mu_;  // the env's
+  std::shared_ptr<MemEnv::FileData> data_;
 };
 
 Result<std::unique_ptr<RandomRWFile>> MemEnv::OpenOrCreate(
@@ -198,9 +291,9 @@ Result<std::unique_ptr<RandomRWFile>> MemEnv::OpenOrCreate(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) {
-    it = files_.emplace(path, std::make_shared<std::vector<uint8_t>>()).first;
+    it = files_.emplace(path, std::make_shared<FileData>()).first;
   }
-  return std::unique_ptr<RandomRWFile>(new MemFile(this, it->second));
+  return std::unique_ptr<RandomRWFile>(new MemFile(&mu_, it->second));
 }
 
 bool MemEnv::FileExists(const std::string& path) {
@@ -249,14 +342,19 @@ Result<std::string> MemEnv::ReadFileToString(const std::string& path) {
   if (it == files_.end()) {
     return Status::NotFound("no memory file '" + path + "'");
   }
-  return std::string(it->second->begin(), it->second->end());
+  const FileData& file = *it->second;
+  std::string out(file.size.load(std::memory_order_relaxed), '\0');
+  file.CopyOut(0, out.size(), reinterpret_cast<uint8_t*>(out.data()));
+  return out;
 }
 
 Status MemEnv::WriteStringToFile(const std::string& path,
                                  const std::string& data) {
   std::lock_guard<std::mutex> lock(mu_);
-  files_[path] = std::make_shared<std::vector<uint8_t>>(data.begin(),
-                                                        data.end());
+  auto file = std::make_shared<FileData>();
+  TDB_RETURN_NOT_OK(file->Write(
+      0, reinterpret_cast<const uint8_t*>(data.data()), data.size()));
+  files_[path] = std::move(file);
   return Status::OK();
 }
 

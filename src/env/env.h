@@ -80,9 +80,14 @@ class MemEnv : public Env {
 
  private:
   friend class MemFile;
+  struct FileData;  // env.cc
+
+  /// Guards the file map and every file's writes.  Reads of a file's bytes
+  /// take no lock (see FileData), so parallel scan workers read side by
+  /// side.
   std::mutex mu_;
   // Shared so open handles survive DeleteFile, matching Posix semantics.
-  std::map<std::string, std::shared_ptr<std::vector<uint8_t>>> files_;
+  std::map<std::string, std::shared_ptr<FileData>> files_;
 };
 
 }  // namespace tdb

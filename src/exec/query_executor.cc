@@ -471,16 +471,24 @@ Status QueryExecutor::ExecuteLevelVectorized(PlanNode* level, Binding* binding,
 // ---------------------------------------------------------------------------
 // Morsel-driven intra-query parallelism.
 //
-// A parallel scan replays the serial scan's exact page-I/O accounting.  The
-// serial engine reads a store's pages 0..N-1 through its single buffer
-// frame, so its counters are: a free hit if page 0 was already resident, a
-// dirty-eviction write if some other page was resident and dirty, one
-// physical read per non-resident page, and the last page left resident.
-// Workers instead read through Pager::ReadPageInto — resident frames serve
-// hits, everything else is a counted read into worker-private memory that
-// leaves the frames untouched.  RunParallelScan brackets the dispatch with
-// a normalization (below) and a re-prime so the counter deltas, observed
-// only at this coordinator level, are bit-identical to serial.
+// A parallel scan keeps the serial scan's exact page-I/O accounting.  Its
+// workers read a store in one of two ways:
+//  * In an uncapped shared pool, each worker reads frames in place under
+//    pins of its own (a BufferPool::ReaderScope): every page is one request,
+//    a hit or a counted miss, as in the serial scan.
+//  * Through the paper's single frame, which the serial engine's reads of a
+//    store's pages 0..N-1 recycle: a free hit if page 0 was already
+//    resident, a dirty-eviction write if some other page was resident and
+//    dirty, one physical read per non-resident page, and the last page left
+//    resident.  Workers instead read through Pager::ReadPageInto — the
+//    resident frame serves hits, everything else is a read into
+//    worker-private memory that leaves the frame untouched.  RunParallelScan
+//    brackets the dispatch with a normalization (below) and a re-prime, and
+//    adds the workers' tallies at the join, so the counter deltas, observed
+//    only at this coordinator level, are bit-identical to serial.
+// A chunk requests each page once; the serial cursor requests a page again
+// only when a morsel holds less than the page (a morsel cap below the
+// page's slot count), a hit either way.
 // ---------------------------------------------------------------------------
 
 /// The row-building half of Retrieve's emit path: evaluates the target list
@@ -553,13 +561,61 @@ struct RowProjector {
   }
 };
 
-/// Per-worker scratch for a parallel scan: a private binding, morsel,
-/// selection vector, scratch ref, filter-program copies, and the page
-/// buffer ReadPageInto fills (so workers never share buffer frames).
-struct QueryExecutor::ScanWorkerState {
-  ScanWorkerState(const Binding& b, uint32_t page_size)
-      : binding(b), page_buf(page_size) {}
+/// One slot per chunk or per worker of a parallel scan, each on a cache
+/// line of its own: workers fill neighbouring slots at the same time.
+template <typename T>
+class Slots {
+ public:
+  explicit Slots(size_t n) : slots_(n) {}
 
+  T& operator[](size_t i) { return slots_[i].value; }
+  size_t size() const { return slots_.size(); }
+
+ private:
+  struct alignas(64) Slot {
+    T value;
+  };
+  std::vector<Slot> slots_;
+};
+
+/// Copies of `proto` made lazily, one per parallel worker, each on a cache
+/// line of its own: compiled programs keep their operand stacks in the
+/// program object, so workers never share one.  A copy serves every chunk
+/// its worker claims.
+template <typename T>
+class PerWorker {
+ public:
+  PerWorker(const T& proto, int workers)
+      : proto_(proto), copies_(static_cast<size_t>(workers)) {}
+
+  T& Get(int worker) {
+    std::optional<T>& copy = copies_[static_cast<size_t>(worker)];
+    if (!copy.has_value()) copy.emplace(proto_);
+    return *copy;
+  }
+
+ private:
+  const T& proto_;
+  Slots<std::optional<T>> copies_;
+};
+
+/// Per-worker scratch for a parallel scan: a private binding, morsel,
+/// selection vector, scratch ref, filter-program copies, row counts, and
+/// the page buffer and tallies of copy-out reads.
+struct QueryExecutor::ScanWorkerState {
+  ScanWorkerState(int worker, const Binding& b, uint32_t page_size)
+      : id(worker), binding(b), page_buf(page_size) {}
+
+  /// The tally of this worker's copy-out reads of `pager`.
+  ReadTally* TallyFor(Pager* pager) {
+    for (auto& [p, tally] : tallies) {
+      if (p == pager) return &tally;
+    }
+    tallies.emplace_back(pager, ReadTally{});
+    return &tallies.back().second;
+  }
+
+  int id;
   Binding binding;  // the scanned variable's slot is rebound per row
   Morsel morsel;
   SelVec sel;
@@ -571,7 +627,9 @@ struct QueryExecutor::ScanWorkerState {
   bool compiled = false;
   std::vector<CompiledProgram> where_prog;
   std::vector<CompiledProgram> when_prog;
-  std::vector<uint8_t> page_buf;  // sized to the file's page size
+  ChunkStats stats;
+  std::vector<uint8_t> page_buf;  // copy-out reads, sized to the page size
+  std::vector<std::pair<Pager*, ReadTally>> tallies;
 };
 
 std::optional<QueryExecutor::ParScan> QueryExecutor::TryPlanParallelScan(
@@ -592,13 +650,18 @@ std::optional<QueryExecutor::ParScan> QueryExecutor::TryPlanParallelScan(
   ps.chunks = CutScanChunks(ps.node->rel, ps.node->current_only,
                             kParallelChunkPages);
   if (ps.chunks.size() < 2) return std::nullopt;
+  // Either every store sits in an uncapped shared pool, or every
+  // page-range store has the single frame the I/O-replay bracketing is
+  // derived for; other frame budgets keep the serial engine.
+  bool pooled = true;
+  bool single = true;
   for (const ScanChunk& c : ps.chunks) {
-    // The I/O-replay bracketing below is derived for the paper's
-    // single-frame pager; larger pools keep the serial engine.
-    if (!c.use_cursor && c.file->pager()->num_frames() != 1) {
-      return std::nullopt;
-    }
+    const Pager* pager = c.file->pager();
+    pooled = pooled && pager->pool() != nullptr && pager->num_frames() == 0;
+    single = single && (c.use_cursor || pager->num_frames() == 1);
   }
+  if (!pooled && !single) return std::nullopt;
+  ps.pooled = pooled;
   return ps;
 }
 
@@ -620,7 +683,7 @@ Status QueryExecutor::RunParallelScan(ParScan* ps, const Binding& binding,
   win.AddRelation(node->rel);
   win.Begin();
 
-  // Normalize each page-range-chunked store's buffer frame so the workers'
+  // Normalize each single-frame store's buffer frame so the workers'
   // frame-bypassing reads reproduce the serial counts: an empty frame needs
   // nothing; page 0 resident stays (the serial scan's first read — and the
   // workers' ReadPageInto(0) — hit it for free); any other resident page,
@@ -628,7 +691,7 @@ Status QueryExecutor::RunParallelScan(ParScan* ps, const Binding& binding,
   // its cold reads, is flushed and dropped up front.
   std::vector<StorageFile*> chunked;
   for (const ScanChunk& c : ps->chunks) {
-    if (c.use_cursor) continue;
+    if (ps->pooled || c.use_cursor) continue;
     if (!chunked.empty() && chunked.back() == c.file) continue;
     chunked.push_back(c.file);
   }
@@ -643,37 +706,53 @@ Status QueryExecutor::RunParallelScan(ParScan* ps, const Binding& binding,
   }
 
   const size_t ntasks = ps->chunks.size();
-  std::vector<ChunkStats> stats(ntasks);
+  const int workers = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(env_.exec_threads), ntasks));
+  std::vector<std::unique_ptr<ScanWorkerState>> states(
+      static_cast<size_t>(workers));
   std::vector<Status> errors(ntasks, Status::OK());
+  // The last page each single-frame chunk read: the serial scan leaves its
+  // store's last one resident.
+  std::vector<uint32_t> last_read(ntasks, kNoPage);
   if (status.ok()) {
     // Work stealing: workers claim chunk indexes from a shared counter, so
     // a skewed chunk (one giant store) never idles the rest of the pool.
     std::atomic<size_t> next{0};
     std::atomic<bool> abort{false};
-    const int workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(env_.exec_threads), ntasks));
-    WorkerPool::Shared().Run(workers, [&](int) {
-      ScanWorkerState ws(binding, env_.storage.page_size);
+    WorkerPool::Shared().Run(workers, [&](int w) {
+      // Pool stores are read in place, under pins of this worker's own.
+      std::optional<BufferPool::ReaderScope> reader;
+      if (ps->pooled) reader.emplace();
+      auto& ws = states[static_cast<size_t>(w)];
+      ws = std::make_unique<ScanWorkerState>(w, binding,
+                                             env_.storage.page_size);
       while (true) {
         const size_t t = next.fetch_add(1, std::memory_order_relaxed);
         if (t >= ntasks) break;
         if (abort.load(std::memory_order_relaxed)) continue;
-        Status st =
-            ProcessScanChunk(*ps, ps->chunks[t], t, &ws, row, &stats[t]);
+        Status st = ProcessScanChunk(*ps, ps->chunks[t], t, ws.get(), row,
+                                     &last_read[t]);
         if (!st.ok()) {
           errors[t] = std::move(st);
           abort.store(true, std::memory_order_relaxed);
         }
       }
     });
+    for (const auto& ws : states) {
+      for (const auto& [pager, tally] : ws->tallies) pager->AddTally(tally);
+    }
     // Re-prime: the serial scan ends with each store's last page resident
     // (its read already counted), so install it without counting before
     // the window closes.
-    for (StorageFile* f : chunked) {
-      const uint32_t pages = f->page_count();
-      if (pages == 0) continue;
-      status = f->pager()->PrimeFrame(pages - 1, f->ScanCategory(pages - 1));
-      if (!status.ok()) break;
+    for (size_t t = 0; t < ntasks && status.ok(); ++t) {
+      const ScanChunk& c = ps->chunks[t];
+      const bool store_ends =
+          t + 1 == ntasks || ps->chunks[t + 1].file != c.file;
+      const uint32_t pno = last_read[t];
+      if (ps->pooled || c.use_cursor || !store_ends || pno == kNoPage) {
+        continue;
+      }
+      status = c.file->pager()->PrimeFrame(pno, c.file->ScanCategory(pno));
     }
   }
   win.End(&node->stats.io);
@@ -681,18 +760,13 @@ Status QueryExecutor::RunParallelScan(ParScan* ps, const Binding& binding,
   // First error in chunk order — the same failure a serial scan reports.
   for (size_t t = 0; t < ntasks; ++t) TDB_RETURN_NOT_OK(errors[t]);
 
-  ChunkStats total;
-  for (const ChunkStats& cs : stats) {
-    total.examined += cs.examined;
-    total.emitted += cs.emitted;
-    total.filter_examined += cs.filter_examined;
-    total.filter_emitted += cs.filter_emitted;
-  }
-  node->stats.rows_examined += total.examined;
-  node->stats.rows_emitted += total.emitted;
-  if (filter != nullptr) {
-    filter->stats.rows_examined += total.filter_examined;
-    filter->stats.rows_emitted += total.filter_emitted;
+  for (const auto& ws : states) {
+    node->stats.rows_examined += ws->stats.examined;
+    node->stats.rows_emitted += ws->stats.emitted;
+    if (filter != nullptr) {
+      filter->stats.rows_examined += ws->stats.filter_examined;
+      filter->stats.rows_emitted += ws->stats.filter_emitted;
+    }
   }
   return Status::OK();
 }
@@ -701,7 +775,7 @@ Status QueryExecutor::ProcessScanChunk(const ParScan& ps,
                                        const ScanChunk& chunk, size_t task,
                                        ScanWorkerState* ws,
                                        const ParallelRowFn& row,
-                                       ChunkStats* stats) const {
+                                       uint32_t* last_read) const {
   AccessNode* node = ps.node;
   FilterNode* filter = ps.filter;
   const Schema& schema = node->rel->schema();
@@ -719,6 +793,7 @@ Status QueryExecutor::ProcessScanChunk(const ParScan& ps,
   SelVec& sel = ws->sel;
   VersionRef& ref = ws->ref;
   Binding* binding = &ws->binding;
+  ChunkStats* stats = &ws->stats;
 
   auto flush_batch = [&]() -> Status {
     const size_t n = m.size();
@@ -739,16 +814,16 @@ Status QueryExecutor::ProcessScanChunk(const ParScan& ps,
       ref.tid = m.tid(idx);
       ref.in_history = m.in_history;
       (*binding)[var] = &ref;
-      TDB_RETURN_NOT_OK(row(task, binding));
+      TDB_RETURN_NOT_OK(row(ws->id, task, binding));
     }
     (*binding)[var] = nullptr;
     return Status::OK();
   };
 
   if (chunk.use_cursor) {
-    // Whole-store chunk (ISAM/B-tree primaries): this worker is the pager's
-    // only user, so the ordinary cursor path — buffer frame included —
-    // behaves exactly as it does serially.
+    // Whole-store chunk (B-tree primaries): this worker is the store's only
+    // reader, so the ordinary cursor path behaves exactly as it does
+    // serially.
     TDB_ASSIGN_OR_RETURN(auto cur, chunk.file->Scan());
     while (true) {
       m.Clear();
@@ -760,22 +835,40 @@ Status QueryExecutor::ProcessScanChunk(const ParScan& ps,
     return Status::OK();
   }
 
-  // Page-range chunk: replay the linear cursor's walk — pages ascending,
-  // used slots ascending — against a private copy of each page.
+  // Page-range chunk: replay the cursor's walk — pages ascending (an ISAM
+  // data page followed by its overflow chain), used slots ascending — over
+  // frames pinned for this worker (pool stores) or private copies
+  // (single-frame stores).
   const uint16_t record_size = chunk.file->layout().record_size;
   Pager* pager = chunk.file->pager();
-  for (uint32_t pno = chunk.begin; pno < chunk.end; ++pno) {
-    TDB_RETURN_NOT_OK(pager->ReadPageInto(pno, chunk.file->ScanCategory(pno),
-                                          ws->page_buf.data()));
-    Page page(ws->page_buf.data(), record_size, pager->usable_size());
-    m.Clear();
-    m.in_history = chunk.in_history;
-    for (uint16_t s = 0; s < page.capacity(); ++s) {
-      if (page.SlotUsed(s)) m.AppendSlice(page.RecordAt(s), Tid{pno, s});
+  ReadTally* tally = ps.pooled ? nullptr : ws->TallyFor(pager);
+  uint32_t last = kNoPage;
+  for (uint32_t first = chunk.begin; first < chunk.end; ++first) {
+    for (uint32_t pno = first; pno != kNoPage;) {
+      const IoCategory cat = chunk.file->ScanCategory(pno);
+      uint8_t* data = ws->page_buf.data();
+      if (ps.pooled) {
+        TDB_ASSIGN_OR_RETURN(data, pager->ReadPage(pno, cat));
+      } else {
+        TDB_RETURN_NOT_OK(pager->ReadPageInto(pno, cat, data, tally));
+      }
+      last = pno;
+      Page page(data, record_size, pager->usable_size());
+      m.Clear();
+      m.in_history = chunk.in_history;
+      uint64_t bits = page.used_bitmap();
+      while (bits != 0) {
+        const uint16_t s = static_cast<uint16_t>(__builtin_ctzll(bits));
+        bits &= bits - 1;
+        if (s >= page.capacity()) break;
+        m.AppendSlice(page.RecordAt(s), Tid{pno, s});
+      }
+      if (ps.pooled) m.SetSource(pager);
+      pno = chunk.chains ? page.next_overflow() : kNoPage;
+      if (!m.empty()) TDB_RETURN_NOT_OK(flush_batch());
     }
-    if (m.empty()) continue;
-    TDB_RETURN_NOT_OK(flush_batch());
   }
+  *last_read = last;
   return Status::OK();
 }
 
@@ -801,6 +894,9 @@ Status QueryExecutor::ExecuteLevel(PlanNode* level, Binding* binding,
 Status QueryExecutor::ExecuteNestedLoop(NestedLoopNode* node, size_t level,
                                         Binding* binding, const EmitFn& emit) {
   ScopedNodeTimer timer(timing_ && level == 0, &node->stats);
+  // Set at level 0, for the statement's one nested loop.
+  std::optional<ParScan> par;
+  std::optional<PerWorker<RowProjector>> projs;
   if (level == 0) {
     node->stats.executed = true;
     ++node->stats.loops;
@@ -820,19 +916,71 @@ Status QueryExecutor::ExecuteNestedLoop(NestedLoopNode* node, size_t level,
         }
       }
     }
+    // The innermost level may scan in parallel through the root's split
+    // emit path, which `emit` is: a nested loop sits directly under the
+    // plan root.
+    if (root_proj_ != nullptr && root_sink_ != nullptr) {
+      par = TryPlanParallelScan(node->levels.back().get());
+    }
+    if (par.has_value()) {
+      projs.emplace(*root_proj_, env_.exec_threads);
+      nlj_par_ = &*par;
+      nlj_projs_ = &*projs;
+    }
   }
+  Status status = Status::OK();
   if (level == node->levels.size()) {
     ++node->stats.rows_emitted;
-    return emit(*binding);
+    status = emit(*binding);
+  } else if (level + 1 == node->levels.size() && nlj_par_ != nullptr) {
+    status = ExecuteInnermostParallel(node, *binding);
+  } else {
+    const bool innermost = level + 1 == node->levels.size();
+    const bool batch = vectorized_ && (innermost || nlj_distinct_rels_);
+    const EmitFn next = [&](const Binding&) -> Status {
+      return ExecuteNestedLoop(node, level + 1, binding, emit);
+    };
+    status = batch ? ExecuteLevelVectorized(node->levels[level].get(),
+                                            binding, next)
+                   : ExecuteLevel(node->levels[level].get(), binding, next);
   }
-  const bool innermost = level + 1 == node->levels.size();
-  const bool batch = vectorized_ && (innermost || nlj_distinct_rels_);
-  const EmitFn next = [&](const Binding&) -> Status {
-    return ExecuteNestedLoop(node, level + 1, binding, emit);
+  if (level == 0) {
+    nlj_par_ = nullptr;
+    nlj_projs_ = nullptr;
+  }
+  return status;
+}
+
+Status QueryExecutor::ExecuteInnermostParallel(NestedLoopNode* node,
+                                               const Binding& binding) {
+  // The workers read the outer levels' versions through their binding
+  // copies: decode them fully first, so no worker fills a lazy-decode
+  // cache.
+  for (const VersionRef* ref : binding) {
+    if (ref != nullptr) ref->FullRow();
+  }
+  struct ChunkOut {
+    std::vector<Row> rows;
+    uint64_t bindings = 0;  // complete bindings, kept or not
   };
-  return batch ? ExecuteLevelVectorized(node->levels[level].get(), binding,
-                                        next)
-               : ExecuteLevel(node->levels[level].get(), binding, next);
+  Slots<ChunkOut> out(nlj_par_->chunks.size());
+  ParallelRowFn chunk_row = [&](int worker, size_t task,
+                                Binding* b) -> Status {
+    ChunkOut& o = out[task];
+    ++o.bindings;
+    Row row;
+    TDB_ASSIGN_OR_RETURN(bool keep,
+                         nlj_projs_->Get(worker).BuildRow(*b, &row));
+    if (keep) o.rows.push_back(std::move(row));
+    return Status::OK();
+  };
+  TDB_RETURN_NOT_OK(RunParallelScan(nlj_par_, binding, chunk_row));
+  for (size_t t = 0; t < out.size(); ++t) {
+    ChunkOut& o = out[t];
+    node->stats.rows_emitted += o.bindings;
+    for (Row& row : o.rows) TDB_RETURN_NOT_OK((*root_sink_)(std::move(row)));
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -923,26 +1071,62 @@ Status QueryExecutor::ExecuteSubstitution(SubstitutionNode* node,
                        HeapFile::Open(std::move(*temp_pager_result),
                                       temp_layout, IoCategory::kTemp));
 
-  Row trow;  // scratch, reused across outer rows
-  const EmitFn detach = [&](const Binding& b) -> Status {
-    const VersionRef* ref = b[static_cast<size_t>(outer_var)];
-    trow.clear();
-    trow.reserve(proj_attrs.size());
+  // The temp record of one outer version, projected through `trow`.
+  const auto encode = [&](const VersionRef& ref, Row* trow)
+      -> Result<std::vector<uint8_t>> {
+    trow->clear();
+    trow->reserve(proj_attrs.size());
     for (int ai : proj_attrs) {
-      trow.push_back(ref->attr(static_cast<size_t>(ai)));
+      trow->push_back(ref.attr(static_cast<size_t>(ai)));
     }
-    TDB_ASSIGN_OR_RETURN(auto rec, EncodeRecord(temp_schema, trow));
-    temp_win.Begin();
-    Status st = temp->Insert(rec.data(), rec.size(), nullptr);
-    temp_win.End(&node->stats.io);
-    return st;
+    return EncodeRecord(temp_schema, *trow);
   };
-  // The detachment body writes only to the temp pager, never to the outer
-  // relation's files, so the outer level may batch with zero-copy morsels.
-  TDB_RETURN_NOT_OK(vectorized_
-                        ? ExecuteLevelVectorized(node->outer.get(), binding,
-                                                 detach)
-                        : ExecuteLevel(node->outer.get(), binding, detach));
+  if (std::optional<ParScan> par = TryPlanParallelScan(node->outer.get());
+      par.has_value()) {
+    // Parallel detachment: workers encode the qualifying outer versions'
+    // temp records into per-chunk buffers; the coordinator inserts them in
+    // chunk order, so the temp relation is written as the serial scan
+    // writes it.
+    const size_t rec_size = temp_schema.record_size();
+    Slots<Row> trows(static_cast<size_t>(env_.exec_threads));
+    Slots<std::vector<uint8_t>> recs(par->chunks.size());
+    ParallelRowFn chunk_row = [&](int worker, size_t task,
+                                  Binding* b) -> Status {
+      TDB_ASSIGN_OR_RETURN(
+          auto rec, encode(*(*b)[static_cast<size_t>(outer_var)],
+                           &trows[static_cast<size_t>(worker)]));
+      recs[task].insert(recs[task].end(), rec.begin(), rec.end());
+      return Status::OK();
+    };
+    TDB_RETURN_NOT_OK(RunParallelScan(&*par, *binding, chunk_row));
+    temp_win.Begin();
+    Status st = Status::OK();
+    for (size_t t = 0; t < recs.size(); ++t) {
+      const std::vector<uint8_t>& chunk = recs[t];
+      for (size_t off = 0; off < chunk.size() && st.ok(); off += rec_size) {
+        st = temp->Insert(chunk.data() + off, rec_size, nullptr);
+      }
+    }
+    temp_win.End(&node->stats.io);
+    TDB_RETURN_NOT_OK(st);
+  } else {
+    Row trow;  // scratch, reused across outer rows
+    const EmitFn detach = [&](const Binding& b) -> Status {
+      TDB_ASSIGN_OR_RETURN(
+          auto rec, encode(*b[static_cast<size_t>(outer_var)], &trow));
+      temp_win.Begin();
+      Status st = temp->Insert(rec.data(), rec.size(), nullptr);
+      temp_win.End(&node->stats.io);
+      return st;
+    };
+    // The detachment body writes only to the temp pager, never to the
+    // outer relation's files, so the outer level may batch with zero-copy
+    // morsels.
+    TDB_RETURN_NOT_OK(vectorized_
+                          ? ExecuteLevelVectorized(node->outer.get(), binding,
+                                                   detach)
+                          : ExecuteLevel(node->outer.get(), binding, detach));
+  }
 
   // ---- tuple substitution: probe the inner variable per temp row ----
   temp_win.Begin();
@@ -1362,32 +1546,30 @@ Status QueryExecutor::ExecuteHashJoin(HashJoinNode* node, Binding* binding,
     // Parallel build: workers evaluate keys and clone versions into
     // per-chunk staging vectors; the coordinator inserts them in chunk
     // order, so every bucket's match list keeps the serial row order.
-    struct TaskBuild {
+    struct BuildWorker {
       std::optional<CompiledProgram> prog;  // private build-key program
       std::string keybuf;
-      std::vector<std::pair<std::string, VersionRef>> out;
     };
-    std::vector<std::unique_ptr<TaskBuild>> tasks(par_build->chunks.size());
-    ParallelRowFn build_chunk_row = [&](size_t task, Binding* b) -> Status {
-      auto& t = tasks[task];
-      if (t == nullptr) {
-        t = std::make_unique<TaskBuild>();
-        t->prog = node->build_prog;
-      }
+    const BuildWorker proto{node->build_prog, {}};
+    PerWorker<BuildWorker> workers(proto, env_.exec_threads);
+    Slots<std::vector<std::pair<std::string, VersionRef>>> out(
+        par_build->chunks.size());
+    ParallelRowFn build_chunk_row = [&](int worker, size_t task,
+                                        Binding* b) -> Status {
+      BuildWorker& w = workers.Get(worker);
       Value key;
-      if (t->prog.has_value()) {
-        TDB_ASSIGN_OR_RETURN(key, t->prog->Eval(*b, env_.now));
+      if (w.prog.has_value()) {
+        TDB_ASSIGN_OR_RETURN(key, w.prog->Eval(*b, env_.now));
       } else {
         TDB_ASSIGN_OR_RETURN(key, eval_.Eval(*node->build_key, *b));
       }
-      if (!NormalizedJoinKey(key, &t->keybuf)) return Status::OK();
-      t->out.emplace_back(t->keybuf, (*b)[build_var]->Clone());
+      if (!NormalizedJoinKey(key, &w.keybuf)) return Status::OK();
+      out[task].emplace_back(w.keybuf, (*b)[build_var]->Clone());
       return Status::OK();
     };
     TDB_RETURN_NOT_OK(RunParallelScan(&*par_build, *binding, build_chunk_row));
-    for (auto& t : tasks) {
-      if (t == nullptr) continue;
-      for (auto& [k, v] : t->out) table[k].push_back(std::move(v));
+    for (size_t t = 0; t < out.size(); ++t) {
+      for (auto& [k, v] : out[t]) table[k].push_back(std::move(v));
     }
   } else {
     const EmitFn build_row = [&](const Binding& b) -> Status {
@@ -1431,43 +1613,44 @@ Status QueryExecutor::ExecuteHashJoin(HashJoinNode* node, Binding* binding,
       for (VersionRef& v : vec) v.FullRow();
     }
     const bool residual_compiled = FilterCompiled(node->residual);
-    struct TaskProbe {
+    struct ProbeWorker {
       std::optional<CompiledProgram> prog;  // private probe-key program
       std::vector<CompiledProgram> res_where;
       std::vector<CompiledProgram> res_when;
       RowProjector proj;
       std::string keybuf;
+    };
+    ProbeWorker proto{node->probe_prog, {}, {}, *root_proj_, {}};
+    if (residual_compiled) {
+      proto.res_where = node->residual.where_prog;
+      proto.res_when = node->residual.when_prog;
+    }
+    PerWorker<ProbeWorker> workers(proto, env_.exec_threads);
+    struct ProbeOut {
       std::vector<Row> rows;
       uint64_t candidates = 0;
       uint64_t matches = 0;
     };
-    std::vector<std::unique_ptr<TaskProbe>> tasks(par_probe->chunks.size());
-    ParallelRowFn probe_chunk_row = [&](size_t task, Binding* b) -> Status {
-      auto& t = tasks[task];
-      if (t == nullptr) {
-        t = std::make_unique<TaskProbe>();
-        t->prog = node->probe_prog;
-        if (residual_compiled) {
-          t->res_where = node->residual.where_prog;
-          t->res_when = node->residual.when_prog;
-        }
-        t->proj = *root_proj_;
-      }
+    Slots<ProbeOut> out(par_probe->chunks.size());
+    ParallelRowFn probe_chunk_row = [&](int worker, size_t task,
+                                        Binding* b) -> Status {
+      ProbeWorker& t = workers.Get(worker);
+      ProbeOut& o = out[task];
       Value key;
-      if (t->prog.has_value()) {
-        TDB_ASSIGN_OR_RETURN(key, t->prog->Eval(*b, env_.now));
+      if (t.prog.has_value()) {
+        TDB_ASSIGN_OR_RETURN(key, t.prog->Eval(*b, env_.now));
       } else {
         TDB_ASSIGN_OR_RETURN(key, eval_.Eval(*node->probe_key, *b));
       }
-      if (!NormalizedJoinKey(key, &t->keybuf)) return Status::OK();
-      auto it = table.find(t->keybuf);
+      if (!NormalizedJoinKey(key, &t.keybuf)) return Status::OK();
+      auto it = table.find(t.keybuf);
       if (it == table.end()) return Status::OK();
       for (const VersionRef& bref : it->second) {
-        ++t->candidates;
+        ++o.candidates;
         (*b)[build_var] = &bref;
         bool pass = true;
         if (has_residual) {
-          auto pr = EvalFilterWith(node->residual, t->res_where, t->res_when,
+          auto pr = EvalFilterWith(node->residual, t.res_where, t.res_when,
                                    residual_compiled, *b);
           if (!pr.ok()) {
             (*b)[build_var] = nullptr;
@@ -1476,10 +1659,10 @@ Status QueryExecutor::ExecuteHashJoin(HashJoinNode* node, Binding* binding,
           pass = *pr;
         }
         if (!pass) continue;
-        ++t->matches;
+        ++o.matches;
         Row row;
-        TDB_ASSIGN_OR_RETURN(bool keep, t->proj.BuildRow(*b, &row));
-        if (keep) t->rows.push_back(std::move(row));
+        TDB_ASSIGN_OR_RETURN(bool keep, t.proj.BuildRow(*b, &row));
+        if (keep) o.rows.push_back(std::move(row));
       }
       (*b)[build_var] = nullptr;
       return Status::OK();
@@ -1487,11 +1670,10 @@ Status QueryExecutor::ExecuteHashJoin(HashJoinNode* node, Binding* binding,
     status = RunParallelScan(&*par_probe, *binding, probe_chunk_row);
     if (status.ok()) {
       // Merge in chunk order = the serial emit order.
-      for (auto& t : tasks) {
-        if (t == nullptr) continue;
-        candidates += t->candidates;
-        matches += t->matches;
-        for (Row& row : t->rows) {
+      for (size_t t = 0; t < out.size(); ++t) {
+        candidates += out[t].candidates;
+        matches += out[t].matches;
+        for (Row& row : out[t].rows) {
           status = (*root_sink_)(std::move(row));
           if (!status.ok()) break;
         }
@@ -1556,14 +1738,14 @@ Status QueryExecutor::ExecuteIntervalJoin(IntervalJoinNode* node,
                     std::vector<VersionRef>* out) -> Status {
     std::optional<ParScan> par = TryPlanParallelScan(side);
     if (par.has_value()) {
-      std::vector<std::vector<VersionRef>> tasks(par->chunks.size());
-      ParallelRowFn chunk_row = [&](size_t task, Binding* b) -> Status {
+      Slots<std::vector<VersionRef>> tasks(par->chunks.size());
+      ParallelRowFn chunk_row = [&](int, size_t task, Binding* b) -> Status {
         tasks[task].push_back((*b)[var]->Clone());
         return Status::OK();
       };
       TDB_RETURN_NOT_OK(RunParallelScan(&*par, *binding, chunk_row));
-      for (auto& t : tasks) {
-        for (VersionRef& v : t) out->push_back(std::move(v));
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        for (VersionRef& v : tasks[t]) out->push_back(std::move(v));
       }
       return Status::OK();
     }
@@ -1908,26 +2090,18 @@ Result<ExecResult> QueryExecutor::Retrieve(RetrieveStmt* stmt,
     // Parallel lone level: workers project rows into per-chunk buffers;
     // the coordinator drains them through the sink in chunk order, which
     // IS the serial row order.
-    struct TaskOut {
-      RowProjector proj;
-      std::vector<Row> rows;
-    };
-    std::vector<std::unique_ptr<TaskOut>> tasks(par->chunks.size());
-    ParallelRowFn chunk_row = [&](size_t task, Binding* b) -> Status {
-      auto& t = tasks[task];
-      if (t == nullptr) {
-        t = std::make_unique<TaskOut>();
-        t->proj = proj;
-      }
+    PerWorker<RowProjector> projs(proj, env_.exec_threads);
+    Slots<std::vector<Row>> rows(par->chunks.size());
+    ParallelRowFn chunk_row = [&](int worker, size_t task,
+                                  Binding* b) -> Status {
       Row row;
-      TDB_ASSIGN_OR_RETURN(bool keep, t->proj.BuildRow(*b, &row));
-      if (keep) t->rows.push_back(std::move(row));
+      TDB_ASSIGN_OR_RETURN(bool keep, projs.Get(worker).BuildRow(*b, &row));
+      if (keep) rows[task].push_back(std::move(row));
       return Status::OK();
     };
     TDB_RETURN_NOT_OK(RunParallelScan(&*par, binding, chunk_row));
-    for (auto& t : tasks) {
-      if (t == nullptr) continue;
-      for (Row& row : t->rows) TDB_RETURN_NOT_OK(sink(std::move(row)));
+    for (size_t t = 0; t < rows.size(); ++t) {
+      for (Row& row : rows[t]) TDB_RETURN_NOT_OK(sink(std::move(row)));
     }
   } else {
     // A lone level's emit body does no page I/O, so batching is always safe.

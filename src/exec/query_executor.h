@@ -18,6 +18,8 @@
 namespace tdb {
 
 struct RowProjector;  // query_executor.cc
+template <typename T>
+class PerWorker;  // query_executor.cc
 
 /// Interprets the physical plan BuildPlan produces for a retrieve
 /// statement.  All access-path and join-order decisions were made by the
@@ -115,11 +117,15 @@ class QueryExecutor {
     AccessNode* node = nullptr;
     FilterNode* filter = nullptr;
     std::vector<ScanChunk> chunks;
+    /// Every store sits in an uncapped shared pool, read in place under
+    /// each worker's own pins; otherwise every page-range store has a
+    /// single frame, read through copy-outs.
+    bool pooled = false;
   };
 
-  /// Per-chunk row counters, accumulated worker-locally and merged into the
-  /// plan nodes in chunk order after the pool joins, so the annotated stats
-  /// are identical to a serial run at any thread count.
+  /// Row counters of a parallel scan, accumulated per worker and added to
+  /// the plan nodes after the pool joins, so the annotated stats are
+  /// identical to a serial run at any thread count.
   struct ChunkStats {
     uint64_t examined = 0;
     uint64_t emitted = 0;
@@ -130,39 +136,51 @@ class QueryExecutor {
   struct ScanWorkerState;  // per-worker scratch, defined in the .cc
 
   /// Receives each surviving row of a parallel scan ON A WORKER THREAD:
-  /// `task` is the chunk index (index per-task output buffers with it; one
-  /// worker owns a task at a time), `binding` is the worker's private copy
-  /// with the scanned variable bound.  Must not touch shared mutable state.
-  using ParallelRowFn = std::function<Status(size_t task, Binding* binding)>;
+  /// `worker` (< exec_threads) indexes per-worker state such as projector
+  /// copies, `task` is the chunk index (index per-task output buffers with
+  /// it; one worker owns a task at a time), `binding` is the worker's
+  /// private copy with the scanned variable bound.  Must not touch shared
+  /// mutable state.
+  using ParallelRowFn =
+      std::function<Status(int worker, size_t task, Binding* binding)>;
 
   /// Decides whether `level` — an access leaf, optionally under a
   /// FilterNode — can run as a parallel scan.  Requires >= 2 exec threads,
   /// the vectorized engine, no active I/O trace (workers would interleave
-  /// its per-page log), a plain kSeqScan leaf, >= 2 chunks, and the paper's
-  /// single-frame pager on every page-range-chunked store (the I/O
-  /// replay rules below are derived for exactly that configuration).
+  /// its per-page log), a plain kSeqScan leaf, >= 2 chunks, and either
+  /// every store in an uncapped shared pool or the paper's single frame on
+  /// every page-range store (the I/O replay rules below are derived for
+  /// exactly that configuration).
   std::optional<ParScan> TryPlanParallelScan(PlanNode* level);
 
   /// Runs the scan's chunks on the shared worker pool, calling `row` per
   /// surviving version.  Deterministic by construction: chunks are cut in
   /// the serial visit order, claimed via an atomic counter, and every
-  /// merge (stats, errors, and the caller's per-task outputs) happens in
-  /// chunk order after the join.  Buffer-frame normalization before
-  /// dispatch plus re-priming after it keep the relation's IoCounters
-  /// bit-identical to the serial scan's at any thread count.
+  /// merge (stats, errors, and the caller's per-task outputs) happens
+  /// after the join, the ordered ones in chunk order.  For single-frame
+  /// stores, buffer-frame normalization before dispatch plus re-priming
+  /// after it keep the relation's IoCounters bit-identical to the serial
+  /// scan's at any thread count.
   Status RunParallelScan(ParScan* ps, const Binding& binding,
                          const ParallelRowFn& row);
 
-  /// Scans one chunk on a worker: page-range chunks read through
-  /// Pager::ReadPageInto into private memory and replay the serial
-  /// cursor's slot walk; use_cursor chunks stream the store's ordinary
-  /// Scan() (that worker is the pager's only user).
+  /// Scans one chunk on a worker: page-range chunks replay the serial
+  /// cursor's slot walk over frames the worker pins (pool stores) or over
+  /// private copies read through Pager::ReadPageInto (single-frame stores),
+  /// setting `*last_read` to the last page read; use_cursor chunks stream
+  /// the store's ordinary Scan() (that worker is the store's only reader).
   Status ProcessScanChunk(const ParScan& ps, const ScanChunk& chunk,
                           size_t task, ScanWorkerState* ws,
-                          const ParallelRowFn& row, ChunkStats* stats) const;
+                          const ParallelRowFn& row,
+                          uint32_t* last_read) const;
 
   Status ExecuteNestedLoop(NestedLoopNode* node, size_t level,
                            Binding* binding, const EmitFn& emit);
+  /// The nested loop's innermost level for the outer levels' versions in
+  /// `binding`, as the parallel scan `nlj_par_`: workers project rows into
+  /// per-chunk buffers, which drain through the root sink in chunk order.
+  Status ExecuteInnermostParallel(NestedLoopNode* node,
+                                  const Binding& binding);
   Status ExecuteSubstitution(SubstitutionNode* node, Binding* binding,
                              const EmitFn& emit);
 
@@ -265,6 +283,11 @@ class QueryExecutor {
   /// outer's pinned frame and change the re-read counts).  The innermost
   /// level is always safe: its per-row body does no page I/O.
   bool nlj_distinct_rels_ = true;
+  /// Within a nested loop under the root's split emit path: the innermost
+  /// level's parallel scan, planned once, or null when it runs serially,
+  /// and the workers' projector copies, which serve every outer row.
+  ParScan* nlj_par_ = nullptr;
+  PerWorker<RowProjector>* nlj_projs_ = nullptr;
 
   /// Reusable per-level batch state (morsel arena, selection vector, and the
   /// scratch VersionRef rows are bound through).  Pooled so inner levels —

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/isam_file.h"
+
 namespace tdb {
 
 std::vector<ScanChunk> CutScanChunks(Relation* rel, bool current_only,
@@ -9,20 +11,20 @@ std::vector<ScanChunk> CutScanChunks(Relation* rel, bool current_only,
   if (chunk_pages == 0) chunk_pages = 1;
   std::vector<ScanChunk> chunks;
   auto add_store = [&](StorageFile* file, bool in_history) {
-    const uint32_t pages = file->page_count();
-    if (pages == 0) return;
-    if (!file->LinearScan()) {
-      ScanChunk c;
-      c.file = file;
-      c.in_history = in_history;
+    if (file->page_count() == 0) return;
+    ScanChunk c;
+    c.file = file;
+    c.in_history = in_history;
+    uint32_t pages = file->page_count();
+    if (file->org() == Organization::kIsam) {
+      c.chains = true;
+      pages = static_cast<IsamFile*>(file)->meta().data_pages;
+    } else if (!file->LinearScan()) {
       c.use_cursor = true;
       chunks.push_back(c);
       return;
     }
     for (uint32_t begin = 0; begin < pages; begin += chunk_pages) {
-      ScanChunk c;
-      c.file = file;
-      c.in_history = in_history;
       c.begin = begin;
       c.end = std::min(pages, begin + chunk_pages);
       chunks.push_back(c);

@@ -89,23 +89,26 @@ class VersionSource {
   bool entries_loaded_ = false;
 };
 
-/// One unit of parallel scan dispatch: either a page range [begin, end) of
-/// a linear-scan store, or (use_cursor) the whole store read through its
-/// ordinary Scan() cursor — ISAM/B-tree primaries, whose scans skip
-/// directory pages and so cannot be cut by page number.
+/// One unit of parallel scan dispatch: a page range [begin, end) of a
+/// store, or (use_cursor) the whole store read through its ordinary Scan()
+/// cursor — B-tree primaries, whose scans follow leaf links and so cannot
+/// be cut by page number.  The range of a linear-scan store (heap, hash)
+/// is its pages; that of an ISAM primary (`chains`) is data pages, each
+/// visited and then its overflow chain, as the ISAM cursor visits them.
 struct ScanChunk {
   StorageFile* file = nullptr;
   bool in_history = false;
   bool use_cursor = false;
+  bool chains = false;
   uint32_t begin = 0;  // first page of a page-range chunk
   uint32_t end = 0;    // one past the last page
 };
 
 /// Cuts the stores a kScan access path visits into chunks of at most
-/// `chunk_pages` pages, in the serial scan's visit order — primary pages
-/// ascending, then (for a two-level relation, unless current_only) history
-/// pages ascending — so concatenating per-chunk results in chunk order
-/// reproduces the serial row order exactly.
+/// `chunk_pages` pages (ISAM: data pages), in the serial scan's visit
+/// order — primary pages ascending, then (for a two-level relation, unless
+/// current_only) history pages ascending — so concatenating per-chunk
+/// results in chunk order reproduces the serial row order exactly.
 std::vector<ScanChunk> CutScanChunks(Relation* rel, bool current_only,
                                      uint32_t chunk_pages);
 

@@ -468,9 +468,16 @@ void Server::HandleConnReadable(Conn* conn) {
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
   ev.data.ptr = conn;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) != 0) {
-    CloseConn(conn);
+  // Re-armed under conn_mu_, which CloseConn takes before it closes the
+  // descriptor.  The kernel already orders this re-arm before the worker
+  // that handles the next event (and may close the connection), but
+  // ThreadSanitizer does not see that order through EPOLL_CTL_MOD.
+  int rearmed = 0;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    rearmed = ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   }
+  if (rearmed != 0) CloseConn(conn);
 }
 
 void Server::CloseConn(Conn* conn) {

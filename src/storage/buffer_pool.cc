@@ -614,31 +614,38 @@ void BufferPool::MarkDirty(Pager* p) {
 }
 
 Status BufferPool::ReadPageInto(Pager* p, uint32_t pno, IoCategory cat,
-                                uint8_t* out) {
+                                uint8_t* out, ReadTally* tally) {
   Frame* f = TryPin(p, pno);
   if (f == nullptr) {
+    // Not pinnable: a page that is not resident is read without the mutex
+    // (the workers' coordinator, the pager's only other user, waits for
+    // them, so none can bring it in meanwhile); a busy one is waited for.
+    if (Find(p, pno) == nullptr) {
+      ++tally->misses;
+      TDB_RETURN_NOT_OK(p->LoadFrom(pno, out, /*count=*/false, cat));
+      ++tally->reads[static_cast<int>(cat)];
+      return Status::OK();
+    }
     std::unique_lock<std::mutex> lock(mu_);
     while ((f = Find(p, pno)) != nullptr && Busy(f)) {
       WaitWhileBusy(f, lock);
     }
     if (f == nullptr) {
-      ++stats_.misses;
-      p->NoteRequest(/*hit=*/false);
       lock.unlock();
-      TDB_RETURN_NOT_OK(p->LoadFrom(pno, out, /*count=*/false, cat));
-      // Counted under the lock: the parallel workers of one file share its
-      // counters.
-      lock.lock();
-      p->Count(/*write=*/false, cat, pno);
-      return Status::OK();
+      return ReadPageInto(p, pno, cat, out, tally);
     }
     f->pins.fetch_add(1, std::memory_order_relaxed);
   }
   std::memcpy(out, f->data.data(), opts_.page_size);
   Unpin(f);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  p->NoteRequest(/*hit=*/true);
+  ++tally->hits;
   return Status::OK();
+}
+
+void BufferPool::AddTally(const ReadTally& tally) {
+  hits_.fetch_add(tally.hits, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.misses += tally.misses;
 }
 
 Status BufferPool::PrimeFrame(Pager* p, uint32_t pno, IoCategory cat) {

@@ -21,6 +21,7 @@ class MetricsRegistry;
 }  // namespace obs
 
 class Pager;
+struct ReadTally;
 
 /// Process-shared buffer pool: one LRU frame cache spanning every relation
 /// file of a Database (production storage mode, ROADMAP item 3).  Pagers
@@ -252,9 +253,12 @@ class BufferPool {
                               ReaderPin* rp, Frame* old);
   void MarkDirty(Pager* p);
   /// Parallel scan workers of one pager may call this concurrently: a hit
-  /// is copied out under a pin, a miss read into `out` without the mutex
-  /// and counted under it.
-  Status ReadPageInto(Pager* p, uint32_t pno, IoCategory cat, uint8_t* out);
+  /// is copied out under a pin, a miss read into `out`, both without the
+  /// mutex and counted in the worker's `tally`.
+  Status ReadPageInto(Pager* p, uint32_t pno, IoCategory cat, uint8_t* out,
+                      ReadTally* tally);
+  /// Counts a parallel scan's tallied requests in the pool's stats.
+  void AddTally(const ReadTally& tally);
   Status PrimeFrame(Pager* p, uint32_t pno, IoCategory cat);
   Result<uint8_t*> AllocatePage(Pager* p, uint32_t pno, IoCategory cat);
   std::vector<uint32_t> ResidentPages(const Pager* p) const;

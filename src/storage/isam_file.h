@@ -90,6 +90,9 @@ class IsamFile : public StorageFile {
   Result<std::vector<uint8_t>> Fetch(const Tid& tid) override;
   Pager* pager() override { return pager_.get(); }
 
+  IoCategory ScanCategory(uint32_t pno) const override {
+    return CategoryOf(pno);
+  }
   IoCategory CategoryOf(uint32_t pno) const {
     if (pno < meta_.data_pages) return IoCategory::kData;
     if (pno < meta_.data_pages + meta_.dir_total()) {

@@ -225,32 +225,43 @@ void Pager::MarkDirty() {
   if (last_touched_ != nullptr) last_touched_->dirty = true;
 }
 
-Status Pager::ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out) {
-  if (pool_ != nullptr) {
-    if (pno >= page_count_) {
-      return Status::OutOfRange(StrPrintf("page %u >= page count %u in '%s'",
-                                          pno, page_count_, path_.c_str()));
-    }
-    return pool_->ReadPageInto(this, pno, cat, out);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
+Status Pager::ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out,
+                           ReadTally* tally) {
   if (pno >= page_count_) {
     return Status::OutOfRange(StrPrintf("page %u >= page count %u in '%s'",
                                         pno, page_count_, path_.c_str()));
   }
-  Frame* frame = FindFrame(pno);
-  NoteRequest(frame != nullptr);
-  if (frame != nullptr) {
+  if (pool_ != nullptr) return pool_->ReadPageInto(this, pno, cat, out, tally);
+  // The frames do not change while the workers read: the coordinator, their
+  // only writer, waits for them.
+  if (const Frame* frame = FindFrame(pno); frame != nullptr) {
     std::memcpy(out, frame->data.data(), page_size_);
+    ++tally->hits;
     return Status::OK();
   }
-  return LoadFrom(pno, out, /*count=*/true, cat);
+  ++tally->misses;
+  TDB_RETURN_NOT_OK(LoadFrom(pno, out, /*count=*/false, cat));
+  ++tally->reads[static_cast<int>(cat)];
+  return Status::OK();
+}
+
+void Pager::AddTally(const ReadTally& tally) {
+  if (pool_ != nullptr) pool_->AddTally(tally);
+  uint64_t read_pages = 0;
+  for (int i = 0; i < kNumIoCategories; ++i) {
+    if (counters_ != nullptr) counters_->reads[i] += tally.reads[i];
+    read_pages += tally.reads[i];
+  }
+  if (metrics() == nullptr) return;
+  metrics()->requests.Add(tally.hits + tally.misses);
+  metrics()->hits.Add(tally.hits);
+  metrics()->misses.Add(tally.misses);
+  metrics()->read_pages.Add(read_pages);
 }
 
 Status Pager::PrimeFrame(uint32_t pno, IoCategory cat) {
   if (pno >= page_count_) return Status::OK();
   if (pool_ != nullptr) return pool_->PrimeFrame(this, pno, cat);
-  std::lock_guard<std::mutex> lock(mu_);
   Frame* frame = FindFrame(pno);
   if (frame == nullptr) {
     TDB_ASSIGN_OR_RETURN(frame, EvictableFrame());

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,14 @@ struct StorageOptions {
   /// Shared buffer pool; when set the pager keeps NO private frames and
   /// every page lives in the pool (its page_size must match).
   BufferPool* pool = nullptr;
+};
+
+/// The requests of ReadPageInto calls on one pager, kept by one parallel
+/// scan worker and added to the pager's counters at the join.
+struct ReadTally {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t reads[kNumIoCategories] = {};
 };
 
 /// Page-granularity access to one relation file through a small pool of
@@ -79,16 +86,21 @@ class Pager {
   /// counted on eviction).
   void MarkDirty();
 
-  /// Thread-safe copy-out read for parallel scan workers.  Never disturbs
-  /// the resident frame state: a resident page is memcpy'd out (a buffer
-  /// hit, free), anything else is read from the file straight into `out`
-  /// and counted as one page read — exactly what a single-frame serial
-  /// scan would have counted for that page.  In private-frame mode an
-  /// internal mutex serializes the workers of one parallel pipeline while
-  /// the serial ReadPage path stays lock-free; in pool mode a resident page
-  /// is copied out under a pin without the pool's mutex, and a missed page
-  /// is read outside it and counted under it, so workers read in parallel.
-  Status ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out);
+  /// Copy-out read for parallel scan workers, which may call it at once on
+  /// one pager while nothing else uses it.  Never disturbs the resident
+  /// frame state: a resident page is memcpy'd out (a buffer hit, free),
+  /// anything else is read from the file straight into `out` (one page
+  /// read) — exactly what a single-frame serial scan would have counted for
+  /// that page.  The request is counted in the worker's `tally`, not in this
+  /// file's counters; the coordinator adds the tallies (AddTally) after the
+  /// join.  No mutex is taken, except to wait for a pool frame that is
+  /// being read in.
+  Status ReadPageInto(uint32_t pno, IoCategory cat, uint8_t* out,
+                      ReadTally* tally);
+
+  /// Coordinator-only: counts a parallel scan's ReadPageInto requests on
+  /// this file (and on its pool), as if each had been counted as made.
+  void AddTally(const ReadTally& tally);
 
   /// Coordinator-only repair after a parallel scan: makes `pno` the
   /// resident page, replaying the frame state a serial scan would have left
@@ -140,9 +152,10 @@ class Pager {
   BufferPool* pool() const { return pool_; }
 
   /// Resident-page budget: the private frame count, or the pool's per-file
-  /// cap in pool mode (0 = uncapped).  Parallel-scan planning requires 1 —
+  /// cap in pool mode (0 = uncapped).  Parallel scans read stores at 1 —
   /// the I/O-replay bracketing is derived for single-frame replacement,
-  /// which a pool capped at 1 frame/file reproduces exactly.
+  /// which a pool capped at 1 frame/file reproduces exactly — or in an
+  /// uncapped pool, through reader pins.
   int num_frames() const {
     return pool_ != nullptr ? pool_cap_ : static_cast<int>(frames_.size());
   }
@@ -212,11 +225,6 @@ class Pager {
   Status VerifyChecksum(const uint8_t* data, uint32_t pno) const;
 
   std::unique_ptr<RandomRWFile> file_;
-  /// Serializes ReadPageInto between parallel scan workers (frame lookup,
-  /// file read, counter bump) in private-frame mode.  The serial
-  /// single-thread paths never take it; pool mode synchronizes through the
-  /// pool's own mutex instead.
-  std::mutex mu_;
   std::string path_;
   IoCounters* counters_;
   Journal* journal_;

@@ -224,7 +224,8 @@ class StorageFile {
   /// reading each exactly once with no auxiliary (directory) pages — the
   /// contract the parallel executor relies on to cut page-range morsels
   /// that replay the cursor's exact record order and I/O counts.  Heap and
-  /// hash files qualify; ISAM/B-tree scans stay cursor-driven.
+  /// hash files qualify; ISAM scans skip the directory pages (the parallel
+  /// executor cuts them by data page) and B-tree scans stay cursor-driven.
   virtual bool LinearScan() const { return false; }
 
   /// I/O accounting category a sequential scan charges for page `pno`.

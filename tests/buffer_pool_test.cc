@@ -447,7 +447,9 @@ TEST_F(BufferPoolTest, FailedMissGivesItsFrameBack) {
   fault.Reset();
   fault.FailReadAt(1);
   std::vector<uint8_t> out(kPageSize);
-  EXPECT_FALSE(pager->ReadPageInto(2, IoCategory::kData, out.data()).ok());
+  ReadTally tally;
+  EXPECT_FALSE(
+      pager->ReadPageInto(2, IoCategory::kData, out.data(), &tally).ok());
   fault.FailReadAt(2);
   EXPECT_FALSE(pager->PrimeFrame(2, IoCategory::kData).ok());
   EXPECT_EQ(pager->ResidentPages(), (std::vector<uint32_t>{0, 1}));

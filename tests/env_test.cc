@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 namespace tdb {
 namespace {
@@ -112,6 +116,54 @@ INSTANTIATE_TEST_SUITE_P(MemAndPosix, EnvTest, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Posix" : "Mem";
                          });
+
+// Reads take no lock.  While one thread appends pages to a file (moving
+// it across block boundaries), shrinks and regrows its tail, and grows and
+// shrinks a second file, readers on four threads keep reading the file's
+// first page whole, and never read past a size they were told.
+TEST(MemEnvTest, ReadsStayWholeWhileTheFileGrowsAndShrinks) {
+  MemEnv env;
+  constexpr size_t kPage = 4096;
+  auto file = env.OpenOrCreate("/mem/file");
+  auto other = env.OpenOrCreate("/mem/other");
+  ASSERT_TRUE(file.ok() && other.ok());
+  std::vector<uint8_t> first(kPage);
+  for (size_t i = 0; i < kPage; ++i) first[i] = static_cast<uint8_t>(i * 7);
+  ASSERT_TRUE((*file)->Write(0, first.data(), kPage).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      std::vector<uint8_t> buf(kPage);
+      while (!done.load()) {
+        if (!(*file)->Read(0, kPage, buf.data()).ok() || buf != first) {
+          bad.fetch_add(1);
+        }
+        auto size = (*file)->Size();
+        if (!size.ok() || *size < kPage) bad.fetch_add(1);
+        (void)env.FileExists("/mem/other");
+      }
+    });
+  }
+  std::vector<uint8_t> page(kPage, 1);
+  for (int round = 1; round <= 300; ++round) {
+    ASSERT_TRUE((*file)->Write(kPage * round, page.data(), kPage).ok());
+    if (round % 10 == 0) {
+      ASSERT_TRUE((*file)->Truncate(kPage * (round - 5)).ok());
+    }
+    ASSERT_TRUE((*other)->Truncate(kPage * (round % 40 + 1)).ok());
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  // A shrunk and regrown tail reads as zeros, as a real file's does.
+  ASSERT_TRUE((*file)->Truncate(kPage).ok());
+  ASSERT_TRUE((*file)->Truncate(2 * kPage).ok());
+  std::vector<uint8_t> tail(kPage, 0xff);
+  ASSERT_TRUE((*file)->Read(kPage, kPage, tail.data()).ok());
+  EXPECT_EQ(tail, std::vector<uint8_t>(kPage, 0));
+}
 
 TEST(MemEnvTest, OpenHandleSurvivesDelete) {
   MemEnv env;

@@ -4,11 +4,15 @@
 
 #include "net/server.h"
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +20,7 @@
 
 #include "env/env.h"
 #include "net/client.h"
+#include "net/protocol.h"
 
 namespace tdb {
 namespace net {
@@ -54,6 +59,171 @@ class ServerTest : public ::testing::Test {
 };
 
 int ServerTest::counter_ = 0;
+
+/// A client that speaks raw frames, well-formed or not, with no handshake
+/// of its own.  Replies time out after 10 s, so a server that neither
+/// answers nor hangs up fails the test instead of hanging it.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& socket_path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+        0) {
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~RawConn() { Close(); }
+
+  bool connected() const { return fd_ >= 0; }
+
+  Status Send(FrameType type, const std::vector<uint8_t>& payload = {}) {
+    return WriteFrame(fd_, type, payload);
+  }
+  /// Writes `bytes` as they are: a frame prefix the test forges.
+  bool SendRaw(const std::vector<uint8_t>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  /// The server's next frame; not ok once it hung up.
+  Result<Frame> Reply() {
+    Frame frame;
+    TDB_RETURN_NOT_OK(ReadFrame(fd_, &frame));
+    return frame;
+  }
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+std::vector<uint8_t> StringPayload(const std::string& s) {
+  std::vector<uint8_t> out;
+  PutString(&out, s);
+  return out;
+}
+
+/// A frame prefix: payload length `len` (u32 LE) and a type byte.
+std::vector<uint8_t> Prefix(uint32_t len, FrameType type) {
+  std::vector<uint8_t> out;
+  PutU32(&out, len);
+  PutU8(&out, static_cast<uint8_t>(type));
+  return out;
+}
+
+/// Sends `type` with `payload` on a fresh connection (after a hello when
+/// `hello`) and expects an error frame, after which the connection still
+/// answers a ping.
+void ExpectAnsweredError(const std::string& socket_path, FrameType type,
+                         const std::vector<uint8_t>& payload, bool hello) {
+  RawConn conn(socket_path);
+  ASSERT_TRUE(conn.connected());
+  if (hello) {
+    ASSERT_TRUE(conn.Send(FrameType::kHello, StringPayload("testdb")).ok());
+    auto ok = conn.Reply();
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    ASSERT_EQ(ok->type, FrameType::kOk);
+  }
+  ASSERT_TRUE(conn.Send(type, payload).ok());
+  auto reply = conn.Reply();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, FrameType::kError);
+  Status carried;
+  ASSERT_TRUE(DecodeStatus(reply->payload, &carried).ok());
+  EXPECT_FALSE(carried.ok());
+  ASSERT_TRUE(conn.Send(FrameType::kPing).ok());
+  auto pong = conn.Reply();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, FrameType::kOk);
+}
+
+/// Sends `bytes` on a fresh connection and expects an error frame or a
+/// closed connection; `hang_up` closes the client's end instead.
+void ExpectErrorOrClose(const std::string& socket_path,
+                        const std::vector<uint8_t>& bytes, bool hang_up) {
+  RawConn conn(socket_path);
+  ASSERT_TRUE(conn.connected());
+  ASSERT_TRUE(conn.SendRaw(bytes));
+  if (hang_up) return;
+  auto reply = conn.Reply();
+  if (reply.ok()) {
+    EXPECT_EQ(reply->type, FrameType::kError);
+  }
+}
+
+/// Another client is still served.
+void ExpectServed(const std::string& socket_path) {
+  auto client = Client::ConnectUnix(socket_path, "testdb");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE((*client)->Ping().ok());
+  auto r = (*client)->Execute("create r (v = i4); destroy r");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+}
+
+std::vector<uint8_t> PreparePayload() {
+  std::vector<uint8_t> p;
+  PutString(&p, "q");
+  PutString(&p, "retrieve (x = 1)");
+  return p;
+}
+
+/// An execute-prepared payload announcing `argc` arguments and holding none.
+std::vector<uint8_t> ExecPreparedPayload(uint32_t argc) {
+  std::vector<uint8_t> p;
+  PutString(&p, "q");
+  PutU32(&p, argc);
+  return p;
+}
+
+void FramesBeforeHelloGetErrors(const std::string& path) {
+  ExpectAnsweredError(path, FrameType::kExecute, StringPayload("help"),
+                      false);
+  ExpectAnsweredError(path, FrameType::kPrepare, PreparePayload(), false);
+  ExpectAnsweredError(path, FrameType::kExecPrepared, ExecPreparedPayload(0),
+                      false);
+  ExpectAnsweredError(path, FrameType::kClose, StringPayload("q"), false);
+  ExpectAnsweredError(path, FrameType::kPinAsOf, {0}, false);
+  ExpectServed(path);
+}
+
+void MalformedFramesGetErrors(const std::string& path) {
+  // A hello whose string is cut short.
+  ExpectAnsweredError(path, FrameType::kHello, {7, 0}, false);
+  // An execute whose string announces more bytes than follow.
+  std::vector<uint8_t> short_script;
+  PutU32(&short_script, 50);
+  short_script.insert(short_script.end(), {'h', 'e', 'l'});
+  ExpectAnsweredError(path, FrameType::kExecute, short_script, true);
+  // An execute-prepared whose announced argument is missing.
+  ExpectAnsweredError(path, FrameType::kExecPrepared, ExecPreparedPayload(1),
+                      true);
+  // A frame type the protocol does not define.
+  ExpectAnsweredError(path, static_cast<FrameType>(99), {}, true);
+  ExpectServed(path);
+}
+
+void OversizedAndTornFramesCloseOnlyTheirConnection(const std::string& path) {
+  // An announced length past kMaxFrameBytes.
+  ExpectErrorOrClose(path, Prefix(kMaxFrameBytes + 1, FrameType::kExecute),
+                     /*hang_up=*/false);
+  ExpectServed(path);
+  // A truncated frame, then the client disconnects.
+  std::vector<uint8_t> torn = Prefix(100, FrameType::kExecute);
+  torn.insert(torn.end(), 10, 'x');
+  ExpectErrorOrClose(path, torn, /*hang_up=*/true);
+  ExpectServed(path);
+}
 
 TEST_F(ServerTest, ExecuteRoundTripsRowsAndMessages) {
   auto client = Connect();
@@ -250,6 +420,21 @@ TEST_F(ServerTest, PreparedStatementErrorsKeepTheConnectionAlive) {
   EXPECT_EQ(run->affected, 1);
 }
 
+// Frame-level errors: each gets an error frame or a closed connection, and
+// the server goes on serving other clients.
+
+TEST_F(ServerTest, FramesBeforeHelloGetErrors) {
+  FramesBeforeHelloGetErrors(socket_path_);
+}
+
+TEST_F(ServerTest, MalformedFramesGetErrors) {
+  MalformedFramesGetErrors(socket_path_);
+}
+
+TEST_F(ServerTest, OversizedAndTornFramesCloseOnlyTheirConnection) {
+  OversizedAndTornFramesCloseOnlyTheirConnection(socket_path_);
+}
+
 /// The whole ServerTest battery again on the epoll event loop: identical
 /// observable behavior is the point of the dispatch abstraction.
 class EpollServerTest : public ServerTest {
@@ -282,6 +467,18 @@ TEST_F(EpollServerTest, StatementErrorsKeepTheConnectionAlive) {
   EXPECT_FALSE((*client)->Execute("range of e is nope").ok());
   EXPECT_TRUE((*client)->Ping().ok());
   EXPECT_TRUE((*client)->Execute("help").ok());
+}
+
+TEST_F(EpollServerTest, FramesBeforeHelloGetErrors) {
+  FramesBeforeHelloGetErrors(socket_path_);
+}
+
+TEST_F(EpollServerTest, MalformedFramesGetErrors) {
+  MalformedFramesGetErrors(socket_path_);
+}
+
+TEST_F(EpollServerTest, OversizedAndTornFramesCloseOnlyTheirConnection) {
+  OversizedAndTornFramesCloseOnlyTheirConnection(socket_path_);
 }
 
 TEST_F(EpollServerTest, ThirtyTwoClientsWithoutPerConnectionThreads) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include "benchlib/workload.h"
 #include "exec/compiled_expr.h"
 #include "exec/eval.h"
+#include "exec/join_method.h"
 #include "exec/morsel.h"
 #include "exec/plan.h"
 #include "exec/version.h"
@@ -408,7 +410,7 @@ TEST(VectorExecDifferentialTest, ThreadCountsAgreeOnAllPaperDatabases) {
 struct ProbeObservation {
   std::string rows;      // rendered, in result order
   std::string io;        // per-file IoCounters
-  std::string requests;  // every bufpool.<file>.requests delta
+  std::string requests;  // every bufpool.<file>.requests and .hits delta
   uint64_t key_compares = 0;
   std::string plan;      // every node's loops, examined, emitted and I/O
 };
@@ -424,10 +426,12 @@ ProbeObservation ObserveProbes(Database* db, const std::string& text) {
   obs.rows = r->result.ToString(TimeResolution::kSecond) +
              StrPrintf("(%zu rows)", r->result.num_rows());
   obs.io = CountersString(db);
+  const auto ends_with = [](const std::string& name, const char* suffix) {
+    const size_t n = std::strlen(suffix);
+    return name.size() >= n && name.compare(name.size() - n, n, suffix) == 0;
+  };
   for (const auto& [name, value] : after.counters) {
-    if (name.size() < 9 || name.compare(name.size() - 9, 9, ".requests") != 0) {
-      continue;
-    }
+    if (!ends_with(name, ".requests") && !ends_with(name, ".hits")) continue;
     obs.requests += StrPrintf("%s=%llu\n", name.c_str(),
                               static_cast<unsigned long long>(
                                   value - before.counter(name)));
@@ -515,6 +519,204 @@ TEST(VectorExecDifferentialTest, ParallelProbesMatchSerialProbes) {
           EXPECT_EQ(obs.key_compares, base.key_compares);
           EXPECT_EQ(obs.plan, base.plan);
         }
+      }
+    }
+  }
+}
+
+/// Every scan the executor can run on its workers — lone scans,
+/// substitution outers, nested-loop inner levels, hash-join sides and
+/// interval-join gathers, over heap, hash and ISAM stores — must leave what
+/// the serial scan leaves: the same rows in the same order, per-file
+/// IoCounters, pool requests and hits, key compares, per-node stats and the
+/// pages left resident at 1, 2 and 4 exec threads.  Over the eight paper
+/// databases after 0, 5 and 15 update rounds, in paper mode (one frame per
+/// file, read through copy-outs) and on 4 KiB pages in an uncapped pool
+/// that holds the data (read in place under reader pins).
+TEST(VectorExecDifferentialTest, ParallelScansMatchSerialScans) {
+  const DbType types[] = {DbType::kStatic, DbType::kRollback,
+                          DbType::kHistorical, DbType::kTemporal};
+  struct Shape {
+    JoinMethod method;
+    std::string text;
+  };
+  for (DbType type : types) {
+    for (int fillfactor : {100, 50}) {
+      for (bool pooled : {false, true}) {
+        bench::WorkloadConfig config;
+        config.type = type;
+        config.fillfactor = fillfactor;
+        config.ntuples = 256;
+        if (pooled) {
+          config.page_size = 4096;
+          config.pool_frames = 4096;
+          config.pool_file_cap = -1;  // uncapped
+        }
+        auto db = bench::BenchmarkDb::Create(config);
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        // A heap relation: three copies of the hashed relation's current
+        // state, so that even on 4 KiB pages it cuts into several chunks.
+        ASSERT_TRUE((*db)->db()->Execute(
+                        "retrieve into p (id = h.id, seq = h.seq, "
+                        "amount = h.amount)").ok());
+        ASSERT_TRUE((*db)->db()->Execute("range of p is p").ok());
+        for (int copy = 1; copy <= 2; ++copy) {
+          ASSERT_TRUE((*db)->db()->Execute(StrPrintf(
+                          "append to p (id = h.id, seq = h.seq + %d, "
+                          "amount = h.amount)", copy)).ok());
+        }
+        const bool vt = HasValidTime(type);
+        std::vector<Shape> shapes;
+        for (int qnum = 1; qnum <= 12; ++qnum) {
+          if (!(*db)->QueryText(qnum).empty()) {
+            shapes.push_back({JoinMethod::kPaper, (*db)->QueryText(qnum)});
+          }
+        }
+        // Heap stores: a lone scan, a substitution's outer, and a nested
+        // loop's inner level.
+        shapes.push_back({JoinMethod::kPaper,
+                          "retrieve (p.id, p.seq) where p.amount > 500"});
+        shapes.push_back({JoinMethod::kPaper,
+                          "retrieve (p.id, i.seq) where i.id = p.amount"});
+        shapes.push_back({JoinMethod::kNestedLoop,
+                          "retrieve (h.id, p.id) where h.id = 7 and "
+                          "p.amount < h.amount"});
+        // Nested-loop inner levels over hash and ISAM stores.
+        shapes.push_back({JoinMethod::kNestedLoop,
+                          "retrieve (p.id, i.id, i.seq) where p.id < 3 and "
+                          "i.amount = p.amount"});
+        shapes.push_back({JoinMethod::kNestedLoop,
+                          "retrieve (p.id, h.id, h.seq) where p.id < 3 and "
+                          "h.amount = p.amount"});
+        // A self-join: the inner level rescans the outer level's store.
+        shapes.push_back({JoinMethod::kNestedLoop,
+                          "retrieve (p.id, q.seq) where p.id < 3 and "
+                          "q.amount = p.amount"});
+        // Hash-join build and probe sides.
+        shapes.push_back({JoinMethod::kHash, (*db)->QueryText(9)});
+        shapes.push_back({JoinMethod::kHash, (*db)->QueryText(10)});
+        shapes.push_back({JoinMethod::kHash,
+                          "retrieve (p.id, h.seq) where p.amount = h.id"});
+        // Interval-join gathers.
+        if (vt) {
+          shapes.push_back({JoinMethod::kMerge,
+                            "retrieve (h.id, i.seq) where h.id = i.id and "
+                            "h.id < 16 when h overlap i"});
+          shapes.push_back({JoinMethod::kMerge,
+                            "retrieve (p.id, i.seq) where p.id = i.id and "
+                            "i.id < 16 when p overlap i"});
+        }
+
+        int rounds_done = 0;
+        for (int rounds : {0, 5, 15}) {
+          for (; rounds_done < rounds; ++rounds_done) {
+            ASSERT_TRUE((*db)->UniformUpdateRound().ok());
+          }
+          for (const Shape& shape : shapes) {
+            SCOPED_TRACE(testing::Message()
+                         << DbTypeName(type) << " ff " << fillfactor
+                         << (pooled ? " pool" : " paper") << ", " << rounds
+                         << " rounds, " << JoinMethodName(shape.method)
+                         << ": " << shape.text);
+            ProbeObservation base;
+            std::string base_resident;
+            for (int threads : {1, 2, 4}) {
+              SCOPED_TRACE(testing::Message() << threads << " threads");
+              DatabaseOptions options;
+              options.exec_threads = threads;
+              options.join_method = shape.method;
+              ASSERT_TRUE((*db)->Reopen(options).ok());
+              ASSERT_TRUE((*db)->db()->Execute("range of p is p").ok());
+              ASSERT_TRUE((*db)->db()->Execute("range of q is p").ok());
+              // Warm-up: the measured run then starts from the same
+              // resident pages, whatever the thread count.
+              ASSERT_TRUE((*db)->db()->Execute(shape.text).ok());
+              ProbeObservation obs = ObserveProbes((*db)->db(), shape.text);
+              // The pages each relation leaves resident, which the next
+              // statement's first reads hit.
+              std::string resident;
+              for (const char* name : {"bench_h", "bench_i", "p"}) {
+                auto rel = (*db)->db()->GetRelation(name);
+                ASSERT_TRUE(rel.ok());
+                resident += name;
+                for (uint32_t pno :
+                     (*rel)->primary()->pager()->ResidentPages()) {
+                  resident += StrPrintf(" %u", pno);
+                }
+                resident += "\n";
+              }
+              if (threads == 1) {
+                base = std::move(obs);
+                base_resident = resident;
+                ASSERT_FALSE(base.rows.empty());
+                continue;
+              }
+              EXPECT_EQ(obs.rows, base.rows);
+              EXPECT_EQ(obs.io, base.io);
+              EXPECT_EQ(obs.requests, base.requests);
+              EXPECT_EQ(obs.key_compares, base.key_compares);
+              EXPECT_EQ(obs.plan, base.plan);
+              EXPECT_EQ(resident, base_resident);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A pool smaller than the scanned relations: the workers' reader pins
+/// keep their pages, and their LRU moves are approximate, so which pages
+/// miss may differ from the serial run, but the rows, in order, may not.
+/// A lone scan (Q03), a substitution (Q09) and a nested loop (Q11) run at 1
+/// and 4 threads; each run records its pool hits, misses and overflow
+/// frames as test properties.
+TEST(VectorExecDifferentialTest, ParallelScansInASmallPoolKeepTheRows) {
+  bench::WorkloadConfig config;
+  config.type = DbType::kTemporal;
+  config.ntuples = 256;
+  config.page_size = 4096;
+  config.pool_frames = 16;
+  config.pool_file_cap = -1;
+  auto db = bench::BenchmarkDb::Create(config);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (int round = 0; round < 15; ++round) {
+    ASSERT_TRUE((*db)->UniformUpdateRound().ok());
+  }
+  ASSERT_GT((*db)->db()->GetRelation("bench_h").value()->primary()
+                ->page_count(),
+            16u);
+  for (int qnum : {3, 9, 11}) {
+    SCOPED_TRACE(testing::Message() << "Q" << qnum);
+    std::string base;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      DatabaseOptions options;
+      options.exec_threads = threads;
+      ASSERT_TRUE((*db)->Reopen(options).ok());
+      BufferPool* pool = (*db)->db()->buffer_pool();
+      const BufferPool::Stats before = pool->GetStats();
+      auto r = (*db)->db()->Execute((*db)->QueryText(qnum));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const BufferPool::Stats after = pool->GetStats();
+      // The pool really was too small for the scan.
+      EXPECT_GT(after.evictions, before.evictions);
+      const std::string key = StrPrintf("q%02d_%dt_", qnum, threads);
+      testing::Test::RecordProperty(key + "hits",
+                                    std::to_string(after.hits - before.hits));
+      testing::Test::RecordProperty(
+          key + "misses", std::to_string(after.misses - before.misses));
+      testing::Test::RecordProperty(
+          key + "overflow_frames",
+          std::to_string(after.overflow_frames - before.overflow_frames));
+      const std::string rows =
+          r->result.ToString(TimeResolution::kSecond) +
+          StrPrintf("(%zu rows)", r->result.num_rows());
+      if (threads == 1) {
+        base = rows;
+        ASSERT_GT(r->result.num_rows(), 0u);
+      } else {
+        EXPECT_EQ(rows, base);
       }
     }
   }

@@ -7,9 +7,9 @@
 //     DatabaseOptions::exec_threads, whether the value came from code or
 //     from TDB_EXEC_THREADS through DatabaseOptions::FromEnv;
 //   * CutScanChunks — page-range tiling of linear-scan stores in the
-//     serial visit order, the cursor fallback for directory-bearing
-//     organizations, empty-store skipping, and history-after-primary
-//     ordering on two-level relations;
+//     serial visit order, ISAM data-page ranges whose chains replay the
+//     ISAM cursor, the cursor fallback for B-tree primaries, empty-store
+//     skipping, and history-after-primary ordering on two-level relations;
 //   * end-to-end determinism — a skewed database (one giant store, tiny
 //     and empty neighbors) where rows, per-file IoCounters, and analyzed
 //     per-node plan stats must be byte-identical at 1, 2, 4, and 8
@@ -32,6 +32,7 @@
 #include "core/database.h"
 #include "env/env.h"
 #include "exec/version_source.h"
+#include "storage/isam_file.h"
 #include "storage/io_stats.h"
 #include "util/stringx.h"
 
@@ -208,17 +209,82 @@ TEST_F(CutScanChunksTest, PageRangeChunksTileLinearStores) {
   EXPECT_EQ(fine.size(), pages);
 }
 
-TEST_F(CutScanChunksTest, DirectoryOrganizationsFallBackToCursor) {
+TEST_F(CutScanChunksTest, BTreePrimariesFallBackToCursor) {
   MakePaddedHeap("r", 40);
-  Exec("modify r to isam on id where fillfactor = 100");
+  Exec("modify r to btree on id");
   Relation* rel = Rel("r");
   ASSERT_NE(rel, nullptr);
   auto chunks = CutScanChunks(rel, false, 2);
-  // ISAM scans skip directory pages, so the store cannot be cut by page
+  // B-tree scans follow leaf links, so the store cannot be cut by page
   // number: one whole-store cursor chunk.
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_TRUE(chunks[0].use_cursor);
   EXPECT_EQ(chunks[0].file, rel->primary());
+}
+
+TEST_F(CutScanChunksTest, IsamChunksReplayTheSerialVisitOrder) {
+  MakePaddedHeap("r", 40);
+  Exec("modify r to isam on id where fillfactor = 100");
+  // One long overflow chain, on the data page that holds id 5; every other
+  // data page keeps an empty chain.
+  for (int k = 0; k < 30; ++k) {
+    Exec(StrPrintf("append to r (id = 5, v = %d)", k));
+  }
+  Relation* rel = Rel("r");
+  ASSERT_NE(rel, nullptr);
+  auto* isam = static_cast<IsamFile*>(rel->primary());
+  const uint32_t data_pages = isam->meta().data_pages;
+  const uint32_t chain_start = data_pages + isam->meta().dir_total();
+  ASSERT_GE(data_pages, 4u);
+  ASSERT_GE(isam->page_count(), chain_start + 3);  // the chain spans pages
+
+  // Data-page ranges tile [0, data_pages); directory pages are never read.
+  auto chunks = CutScanChunks(rel, /*current_only=*/false, 2);
+  uint32_t expect_begin = 0;
+  for (const ScanChunk& c : chunks) {
+    EXPECT_EQ(c.file, rel->primary());
+    EXPECT_TRUE(c.chains);
+    EXPECT_FALSE(c.use_cursor);
+    EXPECT_EQ(c.begin, expect_begin);
+    EXPECT_GT(c.end, c.begin);
+    EXPECT_LE(c.end - c.begin, 2u);
+    expect_begin = c.end;
+  }
+  EXPECT_EQ(expect_begin, data_pages);
+
+  // Walking the chunks in order — each data page, then its overflow chain —
+  // visits the serial cursor's records in the cursor's order.
+  const auto render = [](const Tid& t) {
+    return StrPrintf("%u:%u", t.page, static_cast<unsigned>(t.slot));
+  };
+  std::vector<std::string> serial;
+  auto cur = isam->Scan();
+  ASSERT_TRUE(cur.ok());
+  while (true) {
+    auto have = (*cur)->Next();
+    ASSERT_TRUE(have.ok());
+    if (!*have) break;
+    serial.push_back(render((*cur)->tid()));
+  }
+  std::vector<std::string> chunked;
+  uint32_t chain_pages = 0;
+  Pager* pager = isam->pager();
+  for (const ScanChunk& c : chunks) {
+    for (uint32_t first = c.begin; first < c.end; ++first) {
+      for (uint32_t pno = first; pno != kNoPage;) {
+        if (pno >= chain_start) ++chain_pages;
+        auto frame = pager->ReadPage(pno, isam->ScanCategory(pno));
+        ASSERT_TRUE(frame.ok());
+        Page page(*frame, isam->layout().record_size, pager->usable_size());
+        for (uint16_t s = 0; s < page.capacity(); ++s) {
+          if (page.SlotUsed(s)) chunked.push_back(render(Tid{pno, s}));
+        }
+        pno = page.next_overflow();
+      }
+    }
+  }
+  EXPECT_EQ(chunked, serial);
+  EXPECT_EQ(chain_pages, isam->page_count() - chain_start);
 }
 
 TEST_F(CutScanChunksTest, EmptyStoreYieldsNoChunks) {
